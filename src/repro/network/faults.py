@@ -57,7 +57,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Mapping
 
-from repro.network.bus import Bus, _Scope
+from repro.network.bus import Bus, LogEntry
 from repro.network.events import EventQueue
 from repro.network.messages import Message, MessageKind
 
@@ -383,12 +383,13 @@ class FaultyBus(Bus):
             state.crashed.add(name)
             self.fault_log.append(FaultRecord(self.queue.now, "crash", name,
                                               engagement))
-            # In-flight deliveries die with the endpoint; the rest of
-            # each fan-out is unaffected.  Only this engagement's scope
-            # is touched — the same name in another engagement lives on.
+            # In-flight deliveries die with the endpoint; the other
+            # addressees of each are unaffected.  Only this engagement's
+            # scope is touched — the same name in another engagement
+            # lives on.
             scope = self._scope(engagement)
-            for delivery in scope.pending.pop(name, ()):
-                delivery.drop(name)
+            for entry in scope.pending.pop(name, ()):
+                entry.drop(name)
 
     def _check_timed_crashes(self, state: _PlanState,
                              engagement: str | None) -> None:
@@ -414,7 +415,12 @@ class FaultyBus(Bus):
     # -- faulty control plane ------------------------------------------------
 
     def broadcast(self, msg: Message) -> None:
-        """Atomic broadcast; only crash-stop can silence a listener."""
+        """Atomic broadcast; only crash-stop can silence a listener.
+
+        A crashed sender's broadcast never reaches the medium; crashed
+        listeners are deaf to the entry, and each writes one
+        ``lost-to-crashed`` record, in membership order.
+        """
         state = self._states.get(msg.engagement)
         if state is None or state.plan.empty:
             return Bus.broadcast(self, msg)
@@ -431,15 +437,16 @@ class FaultyBus(Bus):
         self._record(msg, scope)
         sender = msg.sender
         crashed = state.crashed
-        for name, handler in self._fanout_pairs(scope):
-            if name == sender:
-                continue
-            if name in crashed:
-                self.fault_log.append(FaultRecord(
-                    self.queue.now, "lost-to-crashed",
-                    f"{msg.kind.value}->{name}", msg.engagement))
-                continue
-            handler(msg)
+        members = self._members(scope)
+        deaf = [sender]
+        if crashed:
+            for name in members:
+                if name != sender and name in crashed:
+                    deaf.append(name)
+                    self.fault_log.append(FaultRecord(
+                        self.queue.now, "lost-to-crashed",
+                        f"{msg.kind.value}->{name}", msg.engagement))
+        scope.medium.append(LogEntry(msg, self.queue.now, members, deaf))
 
     def send(self, msg: Message) -> tuple[str, ...]:
         """Unicast with the plan's drop/delay/duplicate rules applied.
@@ -493,7 +500,7 @@ class FaultyBus(Bus):
                 self.fault_log.append(FaultRecord(
                     self.queue.now, DELAY, f"{msg.kind.value}->{r} "
                     f"+{fate.delay:g}", msg.engagement))
-        # Recipients sharing a delay ride one fan-out event.  Fates were
+        # Recipients sharing a delay ride one deferred entry.  Fates were
         # already decided (and logged) above in recipient order, so the
         # RNG draw sequence and fault-log order are unchanged; delivery
         # order within a group matches the old per-recipient seq order.

@@ -14,7 +14,8 @@ of being implied by attribute mutation order.
 The module also defines the small contracts the layers share:
 
 * :class:`Endpoint` — anything attachable to the bus by the
-  coordinator (a name plus a handler factory); the engine wires
+  coordinator (a name, a handler factory for point-to-point traffic,
+  and a hook to hear the engagement's broadcast bids); the engine wires
   endpoints without knowing anything about agent internals.
 * :class:`PhaseRunner` / :class:`PhaseOutcome` — one runner per paper
   phase (Section 4), each returning the verdicts it raised, the fines
@@ -130,15 +131,21 @@ class Endpoint(Protocol):
     The engine never builds message handlers itself: each endpoint
     supplies its own via :meth:`bus_handler`, closing over the shared
     inbox (where the engine parks received load blocks) and the shared
-    commitment bulletin.  :class:`~repro.agents.processor.ProcessorAgent`
-    is the canonical implementation.
+    commitment bulletin.  Broadcasts reach no handler: the engine hands
+    every endpoint the engagement's bid board via :meth:`listen`.
+    :class:`~repro.agents.processor.ProcessorAgent` is the canonical
+    implementation.
     """
 
     name: str
 
     def bus_handler(self, inbox: list,
                     bulletin: dict) -> Callable[["Message"], None]:
-        """Build this endpoint's bus message handler."""
+        """Build this endpoint's point-to-point message handler."""
+        ...  # pragma: no cover - protocol declaration
+
+    def listen(self, board: Any) -> None:
+        """Hear the engagement's broadcast bids through *board*."""
         ...  # pragma: no cover - protocol declaration
 
 

@@ -1,4 +1,10 @@
-"""Tests for the shared bus transport."""
+"""Tests for the shared bus transport.
+
+A broadcast is one entry on the scope's medium and calls no handler;
+point-to-point traffic (unicasts, load transfers) reaches the
+addressee's handler.  Broadcast tests therefore pin *who heard which
+entry*, and that no handler ran for it.
+"""
 
 import pytest
 
@@ -25,8 +31,10 @@ class TestAttachment:
         bus, inboxes = make_bus()
         bus.detach("P2")
         bus.broadcast(Message(MessageKind.BID, "P1", ("*",), {"x": 1}))
-        assert inboxes["P2"] == []
-        assert len(inboxes["P3"]) == 1
+        (entry,) = bus.medium
+        assert not entry.heard_by("P2")
+        assert entry.hearers == ("P3",)
+        assert all(inbox == [] for inbox in inboxes.values())
 
     def test_rejects_bad_z(self):
         with pytest.raises(ValueError):
@@ -38,16 +46,37 @@ class TestBroadcast:
         bus, inboxes = make_bus()
         msg = Message(MessageKind.BID, "P1", ("*",), {"bid": 2.0})
         bus.broadcast(msg)
-        assert inboxes["P1"] == []
-        assert inboxes["P2"] == [msg]
-        assert inboxes["P3"] == [msg]
+        (entry,) = bus.medium
+        assert entry.msg is msg
+        assert not entry.heard_by("P1")
+        assert entry.heard_by("P2") and entry.heard_by("P3")
+        assert entry.hearers == ("P2", "P3")
+        assert entry.time == bus.queue.now
+        # One transmission: no endpoint handler ran for it.
+        assert all(inbox == [] for inbox in inboxes.values())
 
     def test_identical_payload_everywhere(self):
-        # Atomicity: one log entry, same object delivered to everyone.
-        bus, inboxes = make_bus()
+        # Atomicity: one log entry and one medium entry, which every
+        # hearer reads — there is no per-recipient copy to diverge.
+        bus, _ = make_bus()
         bus.broadcast(Message(MessageKind.BID, "P1", ("*",), {"bid": 2.0}))
-        assert inboxes["P2"][0] is inboxes["P3"][0]
-        assert len(bus.log) == 1
+        bus.broadcast(Message(MessageKind.BID, "P2", ("*",), {"bid": 3.0}))
+        assert len(bus.log) == 2
+        assert [e.msg for e in bus.medium] == bus.log
+        # Entries share one membership snapshot until membership changes.
+        assert bus.medium[0].members is bus.medium[1].members
+        bus.attach("P4", lambda m: None)
+        bus.broadcast(Message(MessageKind.BID, "P3", ("*",), {"bid": 5.0}))
+        assert bus.medium[2].members is not bus.medium[1].members
+        assert bus.medium[2].hearers == ("P1", "P2", "P4")
+
+    def test_unicast_is_not_on_the_medium(self):
+        bus, inboxes = make_bus()
+        bus.send(Message(MessageKind.CLAIM, "P1", ("P2",), {"c": 1}))
+        bus.transfer_load("P1", "P3", 0.5, ["b"])
+        assert bus.medium == []
+        bus.queue.run()
+        assert len(inboxes["P2"]) == 1 and len(inboxes["P3"]) == 1
 
     def test_requires_star_recipients(self):
         bus, _ = make_bus()

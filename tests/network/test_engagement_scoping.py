@@ -51,9 +51,10 @@ class TestScopedAddressing:
         bus = Bus(0.5)
         view, inboxes = scoped_pair(bus, "A")
         view.broadcast(Message(MessageKind.BID, "P1", ("*",), {"v": 1}))
-        assert all(m.engagement == "A" for m in inboxes["P2"])
+        assert [e.msg.engagement for e in view.medium] == ["A"]
         assert [m.engagement for m in bus.log_for("A")] == ["A"]
         assert bus.log_for(None) == []      # root scope untouched
+        assert bus.medium == []
 
     def test_same_names_coexist_across_scopes(self):
         bus = Bus(0.5)
@@ -61,8 +62,10 @@ class TestScopedAddressing:
         _, in_b = scoped_pair(bus, "B")     # same P1..P3, no collision
         bus.scoped("A").broadcast(
             Message(MessageKind.BID, "P1", ("*",), {}))
-        assert len(in_a["P2"]) == 1
-        assert in_b["P2"] == []             # B heard nothing
+        (entry,) = bus.medium_for("A")
+        assert entry.heard_by("P2")
+        assert bus.medium_for("B") == []    # B heard nothing
+        assert in_a["P2"] == in_b["P2"] == []
         assert set(bus.engagements) == {"A", "B"}
         assert bus.endpoints_for("A") == bus.endpoints_for("B")
 

@@ -1,16 +1,18 @@
-"""Batched fan-out delivery: one queue event per fan-out.
+"""Deferred fan-out delivery: one queue event per delivery.
 
-The seed scheduled one event per recipient; :class:`FanOutDelivery`
-carries the whole recipient list on a single event.  These tests pin
-the per-recipient semantics that batching must preserve: detaching or
-crashing one recipient drops only that recipient, the event is
-cancelled only once nobody is left, and FaultyBus delay rules that
-group recipients still deliver exactly once per survivor.
+A deferred delivery — a load transfer, or a delayed unicast to several
+addressees — is one :class:`~repro.network.bus.LogEntry` scheduled on
+the event queue with its whole addressee list, the same entry type a
+broadcast puts on the medium.  These tests pin the per-addressee
+semantics: who will hear the entry, that detaching or crashing one
+addressee drops only that name, that the event is cancelled only once
+nobody is left, and that FaultyBus delay rules grouping addressees
+still deliver exactly once per survivor.
 """
 
 import pytest
 
-from repro.network.bus import Bus, FanOutDelivery
+from repro.network.bus import Bus, LogEntry
 from repro.network.events import EventQueue
 from repro.network.faults import FaultPlan, FaultyBus, MessageFault
 from repro.network.messages import Message, MessageKind
@@ -27,10 +29,12 @@ class TestFanOutDelivery:
         got_b, h_b = recorder()
         endpoints = {"A": h_a, "B": h_b}
         msg = Message(MessageKind.CLAIM, "S", tuple(recipients), {"x": 1})
-        return FanOutDelivery(endpoints, msg, tuple(recipients)), got_a, got_b
+        entry = LogEntry(msg, 1.0, tuple(recipients), endpoints=endpoints)
+        return entry, got_a, got_b
 
     def test_delivers_to_every_recipient(self):
         delivery, got_a, got_b = self.make()
+        assert delivery.hearers == ("A", "B")
         delivery()
         assert len(got_a) == 1 and len(got_b) == 1
         assert got_a[0] is got_b[0] is delivery.msg
@@ -38,6 +42,7 @@ class TestFanOutDelivery:
     def test_drop_removes_one_recipient_only(self):
         delivery, got_a, got_b = self.make()
         delivery.drop("A")
+        assert not delivery.heard_by("A") and delivery.heard_by("B")
         delivery()
         assert got_a == [] and len(got_b) == 1
 
@@ -46,6 +51,7 @@ class TestFanOutDelivery:
         delivery.drop("A")
         delivery.drop("A")
         delivery.drop("never-there")
+        assert delivery.deaf == ("A",)
         delivery()
         assert len(got_b) == 1
 

@@ -142,10 +142,11 @@ class TestMessageFaults:
         # Atomic broadcast is a physical-medium property (paper §4):
         # only crash-stop silences a listener.
         plan = FaultPlan(messages=(MessageFault(action="drop"),))
-        bus, inboxes = make_bus(plan)
+        bus, _ = make_bus(plan)
         bus.broadcast(Message(MessageKind.BID, "P1", ("*",), {"b": 1.0}))
-        assert len(inboxes["P2"]) == 1
-        assert len(inboxes["P3"]) == 1
+        (entry,) = bus.medium
+        assert entry.hearers == ("P2", "P3")
+        assert bus.fault_log == []
 
 
 class TestCrashes:
@@ -158,10 +159,17 @@ class TestCrashes:
         bus.enter_phase(Phase.ALLOCATING_LOAD)
         assert bus.is_crashed("P2")
         bus.broadcast(Message(MessageKind.BID, "P1", ("*",), {"b": 1.0}))
-        assert inboxes["P2"] == []
-        assert len(inboxes["P3"]) == 1
+        (entry,) = bus.medium
+        assert not entry.heard_by("P2")      # the crashed listener is deaf
+        assert entry.hearers == ("P3",)
+        assert [(r.kind, r.detail) for r in bus.fault_log
+                if r.kind == "lost-to-crashed"] == [("lost-to-crashed",
+                                                      "bid->P2")]
         assert bus.send(Message(MessageKind.CLAIM, "P2", ("P1",), {})) == ()
         assert inboxes["P1"] == []
+        # A crashed sender's broadcast never reaches the medium.
+        bus.broadcast(Message(MessageKind.BID, "P2", ("*",), {"b": 2.0}))
+        assert len(bus.medium) == 1
 
     def test_timed_crash(self):
         plan = FaultPlan(crashes=(CrashFault("P2", at_time=1.0),))

@@ -119,17 +119,31 @@ class TestFaultEquivalence:
 
 
 class TestCacheCounters:
-    def test_memoized_run_reports_cache_activity(self):
-        (_, out) = run_pair([2.0, 3.0, 5.0, 4.0])["memoized"]
-        t = out.traffic
+    def test_memoized_run_reports_cache_activity(self, monkeypatch):
+        from repro.crypto.signatures import SigningKey
+
+        verified = []
+        real_verify = SigningKey.verify
+
+        def counting_verify(key, signed):
+            verified.append((signed.signer, signed.canonical,
+                             signed.signature))
+            return real_verify(key, signed)
+
+        monkeypatch.setattr(SigningKey, "verify", counting_verify)
+        mech = DLSBLNCP([2.0, 3.0, 5.0, 4.0], NetworkKind.NCP_FE, 0.4,
+                        redundancy="memoized", pki_seed=SEED)
+        t = mech.run().traffic
         assert t.memo_hits > 0
         assert t.memo_misses > 0
         assert t.sig_cache_hits > 0
         assert t.sig_cache_misses > 0
         # Sharing means the cache never loses: each result is computed
-        # at most once, and every signature is checked at most once.
+        # at most once, and each signed message is HMAC-verified at
+        # most once however many parties read it.
         assert t.memo_hits >= t.memo_misses
-        assert t.sig_cache_hits > t.sig_cache_misses
+        assert verified and len(verified) == len(set(verified))
+        assert len(verified) == t.sig_cache_misses
 
     def test_independent_run_reports_no_memo_activity(self):
         (_, out) = run_pair([2.0, 3.0, 5.0, 4.0])["independent"]

@@ -24,7 +24,8 @@ observed execution value (:func:`repro.dlt.architectures.tree_finish_times`).
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.core.dls_bl import MechanismResult
@@ -33,6 +34,9 @@ from repro.dlt.architectures import (
     collapse_tree,
     tree_finish_times,
 )
+
+if TYPE_CHECKING:  # imported where used: most callers never build a tree
+    import networkx as nx
 
 __all__ = [
     "tree_with_bids",
@@ -97,6 +101,8 @@ def _canonicalize(topology: nx.DiGraph, root) -> nx.DiGraph:
     Link times are public physics, so the canonical order cannot be
     gamed through bids.
     """
+    import networkx as nx
+
     out = nx.DiGraph()
     out.add_node(root, **topology.nodes[root])
 
@@ -129,6 +135,8 @@ class DLSTree:
     """
 
     def __init__(self, topology: nx.DiGraph, root) -> None:
+        import networkx as nx
+
         if not nx.is_arborescence(topology):
             raise ValueError("topology must be an arborescence")
         if root not in topology:

@@ -282,3 +282,22 @@ def test_facade_allowlist_is_not_stale():
         assert any(
             imported.startswith(UPPER_TARGETS) for imported in _imports(tree)
         ), f"{mod} no longer needs its allowlist entry — remove it"
+
+
+def test_scipy_and_networkx_load_only_where_used():
+    # scipy (the LP optimality oracle) and networkx (tree topologies)
+    # cost most of a cold import and most of its resident memory, yet
+    # no engagement, market or served request touches them: they are
+    # imported inside the functions that use them.  Checked in a fresh
+    # interpreter, since this test process may have loaded them already.
+    import os
+    import subprocess
+    import sys
+
+    probe = ("import sys, repro, repro.api, repro.cli, repro.service.daemon; "
+             "print(sorted(m for m in ('scipy', 'networkx') "
+             "if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout + out.stderr

@@ -3,9 +3,10 @@
 Every benchmark regenerates one of the paper's evaluation artifacts
 (Figures 1-3 or a theorem's empirical content) and reports it as an
 ASCII table.  The ``report`` fixture collects those tables; they are
-written to ``benchmarks/results/<test>.txt`` immediately and echoed in
-the terminal summary (``pytest_terminal_summary`` runs outside pytest's
-output capture, so the tables always appear in
+written to ``benchmarks/results/<test>.txt`` immediately (or to the
+directory given by ``--results-dir``) and echoed in the terminal
+summary (``pytest_terminal_summary`` runs outside pytest's output
+capture, so the tables always appear in
 ``pytest benchmarks/ --benchmark-only`` output).
 """
 
@@ -17,6 +18,13 @@ import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
 _REPORTS: list[tuple[str, str]] = []
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--results-dir", type=Path, default=RESULTS_DIR,
+        help="directory the reproduction tables are written to "
+             "(default: benchmarks/results)")
 
 
 @pytest.fixture
@@ -32,13 +40,14 @@ def report(request):
     if not chunks:
         return
     body = "\n\n".join(chunks)
-    RESULTS_DIR.mkdir(exist_ok=True)
+    results_dir = request.config.getoption("--results-dir")
+    results_dir.mkdir(parents=True, exist_ok=True)
     name = request.node.name.replace("/", "_")
-    (RESULTS_DIR / f"{name}.txt").write_text(body + "\n")
+    (results_dir / f"{name}.txt").write_text(body + "\n")
     _REPORTS.append((request.node.name, body))
 
 
-def pytest_terminal_summary(terminalreporter):
+def pytest_terminal_summary(terminalreporter, config):
     if not _REPORTS:
         return
     tr = terminalreporter
@@ -49,4 +58,4 @@ def pytest_terminal_summary(terminalreporter):
         for line in body.splitlines():
             tr.write_line(line)
     tr.write_line("")
-    tr.write_line(f"(also written to {RESULTS_DIR}/)")
+    tr.write_line(f"(also written to {config.getoption('--results-dir')}/)")

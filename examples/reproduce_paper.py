@@ -7,12 +7,17 @@ extensions) and collates the per-experiment reproduction tables from
 to EXPERIMENTS.md — the file a reviewer reads to check paper-vs-measured
 in one place.
 
-Run:  python examples/reproduce_paper.py
+Run:  python examples/reproduce_paper.py [--out DIR]
 (takes ~30 s; requires the package installed, `pip install -e .`)
+
+``--out DIR`` writes the tables to ``DIR/results/`` and the report to
+``DIR/REPRODUCTION_REPORT.md`` instead, leaving the checked-in copies
+untouched.
 """
 
 from __future__ import annotations
 
+import argparse
 import subprocess
 import sys
 from datetime import datetime, timezone
@@ -23,12 +28,13 @@ RESULTS = REPO / "benchmarks" / "results"
 REPORT = REPO / "REPRODUCTION_REPORT.md"
 
 
-def run_benchmarks() -> int:
+def run_benchmarks(results: Path) -> int:
     print("Running the full benchmark harness (pytest benchmarks/ "
           "--benchmark-only) ...")
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", str(REPO / "benchmarks"),
-         "--benchmark-only", "-q", "--benchmark-disable-gc"],
+         "--benchmark-only", "-q", "--benchmark-disable-gc",
+         "--results-dir", str(results)],
         cwd=REPO, capture_output=True, text=True)
     tail = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
     print(f"  -> {tail}")
@@ -38,7 +44,7 @@ def run_benchmarks() -> int:
     return proc.returncode
 
 
-def collate() -> str:
+def collate(results: Path) -> str:
     stamp = datetime.now(timezone.utc).strftime("%Y-%m-%d %H:%M UTC")
     parts = [
         "# Reproduction report",
@@ -49,7 +55,7 @@ def collate() -> str:
         "regenerated artifact per experiment.",
         "",
     ]
-    files = sorted(RESULTS.glob("*.txt"))
+    files = sorted(results.glob("*.txt"))
     for path in files:
         parts.append(f"## {path.stem}")
         parts.append("")
@@ -61,14 +67,21 @@ def collate() -> str:
     return "\n".join(parts) + "\n"
 
 
-def main() -> int:
-    rc = run_benchmarks()
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, default=None,
+                        help="write results/ and the report under DIR "
+                             "(default: benchmarks/results and the repo root)")
+    args = parser.parse_args(argv)
+    results = RESULTS if args.out is None else args.out / "results"
+    report = REPORT if args.out is None else args.out / REPORT.name
+    rc = run_benchmarks(results)
     if rc != 0:
         print("benchmark run FAILED; report not written", file=sys.stderr)
         return rc
-    REPORT.write_text(collate())
-    n = len(list(RESULTS.glob("*.txt")))
-    print(f"Collated {n} experiment tables into {REPORT}")
+    report.write_text(collate(results))
+    n = len(list(results.glob("*.txt")))
+    print(f"Collated {n} experiment tables into {report}")
     return 0
 
 

@@ -64,10 +64,13 @@ class TestExamples:
 
     @pytest.mark.slow
     def test_reproduce_paper(self, tmp_path):
-        # Runs the whole benchmark harness (~30 s): keep it last.
-        out = run_example("reproduce_paper.py")
+        # Runs the whole benchmark harness (~30 s): keep it last.  The
+        # tables and the report go to tmp_path, so the checked-in
+        # copies are never rewritten by a test run.
+        out = run_example("reproduce_paper.py", "--out", str(tmp_path))
         assert "Collated" in out
-        report = EXAMPLES.parent / "REPRODUCTION_REPORT.md"
+        assert list((tmp_path / "results").glob("*.txt"))
+        report = tmp_path / "REPRODUCTION_REPORT.md"
         assert report.exists()
         text = report.read_text()
         assert "Reproduction report" in text

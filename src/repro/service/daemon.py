@@ -26,7 +26,9 @@ Wire protocol (one JSON object per line, either direction)::
 Error codes:
 
 * ``invalid-request`` — the payload failed v1 validation (or was not
-  JSON); the message is the validation error verbatim.
+  JSON); the message is the validation error verbatim.  A request line
+  longer than :data:`repro.service.tcp.MAX_FRAME_BYTES` gets this code
+  too, with a message naming the limit, and its connection is closed.
 * ``backpressure`` — the bounded request queue was full at admission.
 * ``deadline`` — the request's deadline passed while it was queued or
   running.  A job already running on a worker is *not* interrupted
@@ -69,10 +71,22 @@ __all__ = ["ReproService", "DEFAULT_QUEUE_SIZE"]
 
 DEFAULT_QUEUE_SIZE = 32
 _OPS = ("ping", "stats", "peek", "shutdown")
+#: How long the rest of an over-limit line is drained before hanging up
+#: (closing with unread input would reset the connection and could
+#: destroy the error frame before the client reads it).
+_OVERSIZE_DRAIN_S = 5.0
 
 
 def _error(code: str, message: str) -> dict:
     return {"ok": False, "error": {"code": code, "message": message}}
+
+
+async def _skip_line(reader: asyncio.StreamReader) -> None:
+    """Discard input up to the end of the current line (or EOF)."""
+    while True:
+        chunk = await reader.read(1 << 16)
+        if not chunk or b"\n" in chunk:
+            return
 
 
 @dataclass
@@ -159,7 +173,19 @@ class ReproService:
         self._connections.add(asyncio.current_task())
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # the line overran the frame limit
+                    response = {"id": None, **_error(
+                        "invalid-request",
+                        f"request line exceeds the {tcp.MAX_FRAME_BYTES}-byte "
+                        "frame limit")}
+                    writer.write(json.dumps(response).encode("utf-8") + b"\n")
+                    await writer.drain()
+                    with contextlib.suppress(asyncio.TimeoutError):
+                        await asyncio.wait_for(_skip_line(reader),
+                                               _OVERSIZE_DRAIN_S)
+                    break
                 if not line:
                     break
                 response = await self._handle_line(line)

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 __all__ = [
     "DEFAULT_CONNECT_TIMEOUT",
+    "MAX_FRAME_BYTES",
     "Endpoint",
     "parse_endpoint",
     "start_server",
@@ -57,6 +58,12 @@ _SERVERS: "weakref.WeakSet[asyncio.AbstractServer]" = weakref.WeakSet()
 #: what made a dead TCP endpoint hang where a dead unix socket failed
 #: instantly.
 DEFAULT_CONNECT_TIMEOUT = 10.0
+
+#: Longest request line (one JSON envelope) a listener accepts, in
+#: bytes.  asyncio's default reader limit is 64 KiB, which a legitimate
+#: bundle of a few large engagements already crosses; a line over this
+#: limit gets an ``invalid-request`` error frame naming it.
+MAX_FRAME_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -99,13 +106,15 @@ async def start_server(spec, handler) -> tuple[asyncio.AbstractServer,
     endpoint = parse_endpoint(spec)
     if endpoint.is_tcp:
         server = await asyncio.start_server(handler, host=endpoint.address,
-                                            port=endpoint.port)
+                                            port=endpoint.port,
+                                            limit=MAX_FRAME_BYTES)
         _SERVERS.add(server)
         port = server.sockets[0].getsockname()[1]
         return server, Endpoint("tcp", endpoint.address, port)
     with contextlib.suppress(FileNotFoundError):
         os.unlink(endpoint.address)
-    server = await asyncio.start_unix_server(handler, path=endpoint.address)
+    server = await asyncio.start_unix_server(handler, path=endpoint.address,
+                                             limit=MAX_FRAME_BYTES)
     _SERVERS.add(server)
     return server, endpoint
 

@@ -16,6 +16,7 @@ import pytest
 from repro.api import EngagementRequest, execute
 from repro.service import ServiceClient
 from repro.service.tcp import (
+    MAX_FRAME_BYTES,
     Endpoint,
     connect,
     parse_endpoint,
@@ -126,3 +127,38 @@ class TestConnectTimeout:
             # timeout < default connect timeout: the tighter one wins.
             connect(f"127.0.0.1:{port}", timeout=0.5)
         assert time.monotonic() - start < 10.0
+
+
+class TestFrameLimit:
+    """Request lines up to MAX_FRAME_BYTES are served; longer ones get a
+    typed error frame and a closed connection, never a daemon crash."""
+
+    @pytest.fixture(scope="class", params=["unix", "tcp"])
+    def client(self, request):
+        kwargs = {"tcp": "127.0.0.1:0"} if request.param == "tcp" else {}
+        with ServiceClient(workers=1, **kwargs) as c:
+            yield c
+
+    def test_large_envelope_under_the_limit_is_answered(self, client):
+        # Three times asyncio's default 64 KiB reader limit.
+        response = send_envelope(client.endpoint,
+                                 {"id": 1, "op": "ping", "pad": "x" * 200_000},
+                                 timeout=30)
+        assert response == {"id": 1, "ok": True,
+                            "result": {"pong": True, "draining": False}}
+
+    def test_over_limit_line_gets_a_typed_error(self, client):
+        pad = "x" * (MAX_FRAME_BYTES + 1)
+        response = send_envelope(client.endpoint,
+                                 {"id": 2, "op": "ping", "pad": pad},
+                                 timeout=30)
+        assert response["ok"] is False
+        assert response["error"]["code"] == "invalid-request"
+        assert str(MAX_FRAME_BYTES) in response["error"]["message"]
+
+    def test_daemon_still_answers_stats_afterwards(self, client):
+        pad = "x" * (2 * MAX_FRAME_BYTES)
+        send_envelope(client.endpoint, {"id": 3, "op": "ping", "pad": pad},
+                      timeout=30)
+        assert client.stats().queue_capacity > 0
+        assert client.ping()

@@ -36,7 +36,7 @@ class Event:
     a tick.
 
     ``__slots__`` (via ``slots=True``): protocol runs schedule one event
-    per load transfer and per deferred fan-out, and DES throughput
+    per load transfer and per delayed unicast, and DES throughput
     benchmarks allocate tens of thousands — the slotted layout removes
     the per-instance ``__dict__``.
     """

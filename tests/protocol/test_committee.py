@@ -14,6 +14,7 @@ Pins the tentpole guarantees:
 import pytest
 
 from repro.agents.behaviors import AgentBehavior, Deviation
+from repro.agents.processor import ProcessorAgent
 from repro.core.dls_bl_ncp import DLSBLNCP, EngineConfig
 from repro.core.quorum import (
     BYZANTINE_STRATEGIES,
@@ -192,3 +193,33 @@ class TestCertificateEnforcement:
     def test_no_certificates_key_without_committee(self):
         doc = protocol_result_to_dict(run(None, behaviors=DEVIANT))
         assert "certificates" not in doc
+
+
+class TestLazyBidVectors:
+    """The payment case's bid vectors are collected once, and only when
+    a payment vector is wrong, however many referees judge the case."""
+
+    @staticmethod
+    def count_collections(monkeypatch) -> list[str]:
+        calls = []
+        collect = ProcessorAgent.bid_vector_messages
+
+        def counting(agent, order):
+            calls.append(agent.name)
+            return collect(agent, order)
+
+        monkeypatch.setattr(ProcessorAgent, "bid_vector_messages", counting)
+        return calls
+
+    @pytest.mark.parametrize("size", [None, 4])
+    def test_collected_once_per_wrong_payment_case(self, monkeypatch, size):
+        calls = self.count_collections(monkeypatch)
+        committee = CommitteeConfig(size=size) if size else None
+        result = run(committee, behaviors=WRONG_PAYER)
+        assert [v.case for v in result.verdicts] == ["payment-verification"]
+        assert sorted(calls) == ["P1", "P2", "P3", "P4"]
+
+    def test_never_collected_when_every_vector_is_right(self, monkeypatch):
+        calls = self.count_collections(monkeypatch)
+        run(CommitteeConfig(size=4))
+        assert calls == []

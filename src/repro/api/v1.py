@@ -965,7 +965,7 @@ class ServiceStats(_Payload):
     queue_capacity: int = 0
     in_flight: int = 0
     workers: int = 1
-    pool_rebuilds: int = 0
+    pool_rebuilds: int = 0  # workers respawned after a death (wire name kept)
     latency_p50: float = 0.0
     latency_p95: float = 0.0
     uptime: float = 0.0

@@ -17,8 +17,8 @@ executes them on a warm, reusable fork worker pool:
 * live counters via the ``stats`` op (requests, queue depth, cache
   hits, p50/p95 latency);
 * graceful shutdown that drains in-flight work, and poisoned-request
-  isolation (a request that kills its worker fails alone; the pool is
-  rebuilt for everyone else).
+  isolation (a request that kills its worker fails alone; a fresh
+  worker replaces the dead one, and no other request notices).
 
 Scale-out lives one level up: :mod:`repro.service.fleet` shards
 requests over N daemons by canonical digest (partitioned caches,

@@ -7,10 +7,10 @@ warm worker pool — and offers plain synchronous calls.  Tests and
 notebooks get the full service stack (queueing, backpressure,
 deadlines, caching, crash recovery) without managing a process.
 
-Each call opens a fresh connection, so N threads calling concurrently
-exercise N concurrent connections against the daemon — exactly the
-production shape of ``repro serve``.  All socket work is delegated to
-:mod:`repro.service.tcp`, the service package's one transport seam.
+Each call opens a fresh connection (a one-shot ``send_envelope``), so N
+threads calling concurrently exercise N concurrent connections against
+the daemon.  All socket work is delegated to :mod:`repro.service.tcp`,
+the service package's one transport seam.
 """
 
 from __future__ import annotations

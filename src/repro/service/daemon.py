@@ -9,8 +9,10 @@ digests the serial library paths produce.
 The listener is transport-agnostic: the endpoint spec (a unix socket
 path, or ``HOST:PORT`` for TCP) is parsed and bound by
 :mod:`repro.service.tcp` — the one socket seam in the service package —
-so the queueing / deadline / cache / quarantine machinery below is
-byte-identical over both transports.
+so the queueing / deadline / cache / retry machinery below is
+byte-identical over both transports.  A client may send any number of
+request lines on one connection; each is answered before the next is
+read.
 
 Wire protocol (one JSON object per line, either direction)::
 
@@ -34,12 +36,11 @@ Error codes:
   running.  A job already running on a worker is *not* interrupted
   (the worker finishes and the answer is dropped); only worker death
   tears a computation down mid-flight.
-* ``worker-died`` — the request is poisoned: after crashing shared-pool
-  workers ``max_attempts`` times it was quarantined onto a dedicated
-  single-use worker, and killed that too.  Innocent requests caught in
-  the same pool breaks are retried transparently (and, if they keep
-  being collateral damage, cleared through the same quarantine — a
-  healthy request *succeeds* solo), so only the guilty request fails.
+* ``worker-died`` — the request is poisoned: the worker running it
+  died ``max_attempts`` times, each time a freshly forked one.  Each
+  worker runs one job on a private channel, so a death names exactly
+  the job it interrupted; requests on the other workers never notice,
+  and only the guilty request fails.
 * ``domain-error`` — the engine raised while executing a valid request.
 * ``shutting-down`` — the daemon is draining; resubmit elsewhere.
 
@@ -56,14 +57,13 @@ import contextlib
 import json
 import time
 from collections import OrderedDict
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.api import ApiError, request_from_dict
 from repro.api.registry import cacheable
 from repro.service import tcp
-from repro.service.pool import WarmPool
+from repro.service.pool import WarmPool, WorkerDied
 from repro.service.stats import ServiceCounters
 from repro.service.worker import execute_payload
 
@@ -92,6 +92,7 @@ async def _skip_line(reader: asyncio.StreamReader) -> None:
 @dataclass
 class _Job:
     request: Any
+    cache_key: str | None  # the request digest, for cacheable kinds
     deadline: float | None
     enqueued: float = field(default_factory=time.monotonic)
     future: asyncio.Future = None  # response body, set by a consumer
@@ -158,12 +159,16 @@ class ReproService:
         await asyncio.gather(*self._consumers, return_exceptions=True)
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-        for task in list(self._connections):
+        # Kept connections idle in readline until cancelled, and a
+        # server may wait for its connections before it counts as closed.
+        connections = list(self._connections)
+        for task in connections:
             task.cancel()
-        await asyncio.gather(*self._connections, return_exceptions=True)
+        await asyncio.gather(*connections, return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
         tcp.cleanup(self.bound)
-        self.pool.shutdown(wait=True)
+        self.pool.shutdown()
         self._closed.set()
 
     # -- connection handling ------------------------------------------------
@@ -225,7 +230,7 @@ class ReproService:
                 queue_depth=self._queue.qsize() if self._queue else 0,
                 queue_capacity=self.queue_size,
                 workers=self.pool.workers,
-                pool_rebuilds=self.pool.rebuilds)
+                pool_rebuilds=self.pool.respawns)
             return {"ok": True, "result": stats.to_dict()}
         if op == "peek":
             return self._handle_peek(envelope.get("digest"))
@@ -287,7 +292,7 @@ class ReproService:
             return {"ok": True,
                     "result": {**self._cache[cache_key], "cached": True}}
 
-        job = _Job(request=request, deadline=deadline,
+        job = _Job(request=request, cache_key=cache_key, deadline=deadline,
                    future=asyncio.get_running_loop().create_future())
         try:
             self._queue.put_nowait(job)
@@ -345,65 +350,29 @@ class ReproService:
     async def _run_attempts(self, job: _Job) -> dict:
         payload = job.request.to_dict()
         for attempt in range(1, self.max_attempts + 1):
-            generation, pool_future = self.pool.submit(
-                execute_payload, payload)
+            _, future = self.pool.submit(execute_payload, payload)
             try:
                 status, body = await asyncio.wait_for(
-                    asyncio.wrap_future(pool_future), self._remaining(job))
+                    future, self._remaining(job))
             except asyncio.TimeoutError:
                 # The worker keeps running; only its answer is dropped.
                 self.counters.expired += 1
                 return _error("deadline",
                               f"deadline of {job.deadline}s passed after "
                               f"{attempt} attempt(s)")
-            except BrokenProcessPool:
-                # A worker died, failing every in-flight future on the
-                # shared pool — this job may be the killer or mere
-                # collateral.  Rebuild (the first victim of this
-                # generation does the work) and retry; a job that keeps
-                # landing here goes to quarantine, where guilt is
-                # decided on a private worker.
-                self.pool.rebuild(generation)
-                if attempt == self.max_attempts:
-                    return await self._run_quarantined(job, payload)
+            except WorkerDied:
+                # This job's own worker died under it; the pool has
+                # already forked a replacement to retry on.
                 continue
             return self._finish(job, status, body)
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    async def _run_quarantined(self, job: _Job, payload: dict) -> dict:
-        """Decide a repeatedly-crashing request on a private worker.
-
-        On the shared pool a broken future cannot be attributed: the
-        poisoned request and its innocent neighbours all see
-        ``BrokenProcessPool``.  A dedicated single-use worker removes
-        the ambiguity — dying here is proof of poison, surviving clears
-        an innocent that was repeatedly caught in the blast radius.
-        The shared pool is untouched either way.
-        """
-        executor = self.pool.make_solo()
-        try:
-            solo_future = executor.submit(execute_payload, payload)
-            try:
-                status, body = await asyncio.wait_for(
-                    asyncio.wrap_future(solo_future), self._remaining(job))
-            except asyncio.TimeoutError:
-                self.counters.expired += 1
-                return _error("deadline",
-                              f"deadline of {job.deadline}s passed in "
-                              "quarantine")
-            except BrokenProcessPool:
-                self.counters.failed += 1
-                return _error(
-                    "worker-died",
-                    f"request crashed {self.max_attempts} shared worker(s) "
-                    "and its quarantine worker; abandoned as poisoned")
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
-        return self._finish(job, status, body)
+        self.counters.failed += 1
+        return _error("worker-died",
+                      f"request killed its worker {self.max_attempts} "
+                      "time(s); abandoned as poisoned")
 
     def _finish(self, job: _Job, status: str, body: dict) -> dict:
         if status == "ok":
-            cache_key = self._cache_key(job.request)
+            cache_key = job.cache_key
             if cache_key is not None:
                 self._cache[cache_key] = body
                 self._cache.move_to_end(cache_key)

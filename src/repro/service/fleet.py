@@ -7,13 +7,15 @@ clean partition of the key space — the same request always lands on the
 same *owner* daemon, and K daemons give K times the cache capacity with
 zero duplication.
 
-Failure handling mirrors the PR 5 pool-rebuild/quarantine machinery,
-one level up:
+Each sender thread keeps one connection per daemon and sends its
+requests down it one after another.  Failure handling:
 
-* an endpoint that refuses / drops a connection is **quarantined** and
-  the routing generation is bumped (generation-counted, like
-  ``WarmPool.rebuild``: concurrent victims of one dead daemon cost one
-  quarantine, not N);
+* a kept connection the daemon dropped while idle (it drained or
+  restarted) is retried once on a fresh connection — the request was
+  never answered, and requests are pure functions of their payload;
+* an endpoint that refuses a connection or drops one mid-request is
+  **quarantined** and the routing generation is bumped (idempotent:
+  concurrent victims of one dead daemon cost one quarantine, not N);
 * the request **fails over** along the deterministic ring order
   (owner, owner+1, ...) — requests are pure functions of their payload,
   so a retry after a mid-flight connection loss can only recompute the
@@ -58,7 +60,7 @@ from dataclasses import dataclass, field
 from repro.api import FleetStatsResult, request_from_dict, result_from_dict
 from repro.service.client import ServiceError
 from repro.service.daemon import DEFAULT_QUEUE_SIZE
-from repro.service.tcp import send_envelope
+from repro.service.tcp import Connection, Unanswered, send_envelope
 
 __all__ = [
     "RETRYABLE_CODES",
@@ -109,9 +111,10 @@ class FleetCounters:
 class FleetDispatcher:
     """Client-side router over a fixed list of daemon endpoints.
 
-    Thread-safe: N threads calling :meth:`request` concurrently exercise
-    N concurrent connections spread across the fleet, exactly like N
-    independent ``repro call`` clients that happen to agree on routing.
+    Thread-safe: each thread keeps its own connection per endpoint, so
+    N threads calling :meth:`request` concurrently exercise N
+    concurrent connections spread across the fleet, like N independent
+    clients that happen to agree on routing.
     """
 
     def __init__(self, endpoints, *, timeout: float = 300.0,
@@ -130,6 +133,7 @@ class FleetDispatcher:
         self._quarantined: set[str] = set()
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
+        self._local = threading.local()  # .kept: {endpoint: Connection}
 
     # -- routing ------------------------------------------------------------
 
@@ -193,14 +197,40 @@ class FleetDispatcher:
     # -- wire ---------------------------------------------------------------
 
     def _call(self, endpoint: str, envelope: dict) -> dict:
+        """One exchange on this thread's kept connection to *endpoint*.
+
+        Only a reused connection that fails before any response byte is
+        retried, once, on a fresh connection; every other failure
+        raises (``OSError``: the caller quarantines and fails over).
+        """
         envelope = {"id": next(self._ids), **envelope}
-        response = send_envelope(endpoint, envelope, timeout=self.timeout,
-                                 connect_timeout=self.connect_timeout)
+        try:
+            kept = self._local.kept
+        except AttributeError:
+            kept = self._local.kept = {}
+        conn = kept.pop(endpoint, None)
+        try:
+            if conn is not None:
+                try:
+                    response = conn.exchange(envelope)
+                except Unanswered:
+                    conn.close()
+                    conn = None
+            if conn is None:
+                conn = Connection(endpoint, timeout=self.timeout,
+                                  connect_timeout=self.connect_timeout)
+                response = conn.exchange(envelope)
+        except BaseException:
+            if conn is not None:
+                conn.close()
+            raise
         if response.get("id") != envelope["id"]:
+            conn.close()
             raise ServiceError(
                 "protocol", f"response id {response.get('id')!r} from "
                             f"{endpoint} does not match request id "
                             f"{envelope['id']}")
+        kept[endpoint] = conn
         return response
 
     def _peek(self, digest: str, endpoints) -> dict | None:

@@ -1,7 +1,8 @@
 """The transport seam: every socket the service stack opens lives here.
 
 One module owns endpoint naming, listener creation and client
-connections for both transports the daemon speaks:
+connections (one-shot, or kept open for many exchanges) for both
+transports the daemon speaks:
 
 * ``unix`` — a filesystem socket path (the PR 5 daemon's transport);
 * ``tcp``  — ``HOST:PORT`` on a stream socket, which is what lets a
@@ -41,6 +42,8 @@ __all__ = [
     "start_server",
     "cleanup",
     "connect",
+    "Connection",
+    "Unanswered",
     "send_envelope",
     "listener_fds",
     "close_inherited_listeners",
@@ -123,7 +126,7 @@ def listener_fds() -> tuple[int, ...]:
     """File descriptors of every listener currently bound in-process.
 
     Snapshotted by :class:`repro.service.pool.WarmPool` whenever it
-    builds an executor, and passed to the fork children's initializer.
+    forks a worker, and closed by that worker at start-up.
     A closed server's ``sockets`` is empty, so stale listeners drop out
     on their own.
     """
@@ -140,7 +143,7 @@ def listener_fds() -> tuple[int, ...]:
 
 
 def close_inherited_listeners(fds) -> None:
-    """Fork-worker initializer: drop listener fds inherited at fork.
+    """Fork-worker start-up: drop listener fds inherited at fork.
 
     A forked worker inherits every fd its parent held — including
     *listening* sockets, the parent's own or (when several daemons live
@@ -206,29 +209,74 @@ def connect(spec, *, timeout: float = 300.0,
     return sock
 
 
+class Unanswered(ConnectionResetError):
+    """The peer closed or reset the connection before any response byte.
+
+    On a connection that already carried an exchange this means the
+    daemon dropped it while idle (drain, restart): the request was not
+    answered, so a caller may resend it on a fresh connection.
+    """
+
+
+class Connection:
+    """A client connection that carries one exchange after another.
+
+    The daemon answers each request line before it reads the next, so
+    a connection needs no framing beyond the newline.  Not thread-safe:
+    one sender per connection.
+    """
+
+    _sock = None
+
+    def __init__(self, spec, *, timeout: float = 300.0,
+                 connect_timeout: float | None = None) -> None:
+        self.spec = spec
+        self._sock = connect(spec, timeout=timeout,
+                             connect_timeout=connect_timeout)
+
+    def exchange(self, envelope: dict) -> dict:
+        """Send one JSON-lines envelope; return the response object.
+
+        Raises :class:`Unanswered` when the peer hangs up before any
+        response byte, and ``ConnectionResetError`` when it hangs up
+        mid-line (the daemon died while replying) — a connection error,
+        never a decode error, so callers treat it like a refused
+        connect: quarantine and fail over.
+        """
+        try:
+            self._sock.sendall(json.dumps(envelope).encode("utf-8") + b"\n")
+            chunk = self._sock.recv(65536)
+        except (BrokenPipeError, ConnectionResetError) as exc:
+            raise Unanswered(f"connection to {self.spec} closed before "
+                             "a full response line") from exc
+        if not chunk:
+            raise Unanswered(f"connection to {self.spec} closed before "
+                             "a full response line")
+        chunks = [chunk]
+        while not chunk.endswith(b"\n"):
+            chunk = self._sock.recv(65536)
+            if not chunk:
+                raise ConnectionResetError(
+                    f"connection to {self.spec} closed before a full "
+                    "response line")
+            chunks.append(chunk)
+        return json.loads(b"".join(chunks))
+
+    def close(self) -> None:
+        if self._sock is not None:
+            self._sock.close()
+
+    __del__ = close
+
+
 def send_envelope(spec, envelope: dict, *, timeout: float = 300.0,
                   connect_timeout: float | None = None) -> dict:
     """Send one JSON-lines envelope to a daemon; return its response.
 
-    The standalone wire primitive shared by ``ServiceClient``, the
-    fleet dispatcher and ``repro call`` — one connection, one line out,
+    The one-shot wire primitive shared by ``ServiceClient``, ``repro
+    call`` and fleet management — one fresh connection, one line out,
     one line back, over either transport.
     """
-    with contextlib.closing(connect(spec, timeout=timeout,
-                                    connect_timeout=connect_timeout)) as sock:
-        sock.sendall(json.dumps(envelope).encode("utf-8") + b"\n")
-        chunks = []
-        while True:
-            chunk = sock.recv(65536)
-            if not chunk:
-                break
-            chunks.append(chunk)
-            if chunk.endswith(b"\n"):
-                break
-    if not chunks or not chunks[-1].endswith(b"\n"):
-        # The daemon died (or was killed) mid-response: surface it as a
-        # connection error, not a decode error, so callers treat it
-        # exactly like a refused connect — quarantine and fail over.
-        raise ConnectionResetError(
-            f"connection to {spec} closed before a full response line")
-    return json.loads(b"".join(chunks))
+    with contextlib.closing(Connection(
+            spec, timeout=timeout, connect_timeout=connect_timeout)) as conn:
+        return conn.exchange(envelope)

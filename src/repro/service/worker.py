@@ -44,8 +44,8 @@ def execute_payload(payload: dict) -> tuple[str, dict[str, Any]]:
     Returns ``("ok", result_dict)`` or ``("error", {"code", "message"})``
     — domain failures are *data*, so one bad request can never poison
     the worker for the requests queued behind it.  (A worker that dies
-    outright — the poisoned-request case — surfaces parent-side as
-    ``BrokenProcessPool`` instead.)
+    outright — the poisoned-request case — closes its channel, and the
+    pool fails just this job with ``WorkerDied``.)
     """
     from repro.api import ApiError, execute, request_from_dict
 

@@ -20,9 +20,12 @@ answer:
 
 Cross-daemon cache peeking is pinned separately: when a shard owner
 dies, a peer that already holds the answer serves it from cache (the
-``peek`` op) instead of recomputing.
+``peek`` op) instead of recomputing.  So are the dispatcher's kept
+connections: scripted listeners drop them idle and mid-request.
 """
 
+import asyncio
+import json
 import os
 import random
 import signal
@@ -35,6 +38,7 @@ from repro.api import (
     EngagementRequest,
     MultiEngagementRequest,
     execute,
+    result_from_dict,
 )
 from repro.service import (
     RETRYABLE_CODES,
@@ -42,6 +46,7 @@ from repro.service import (
     LocalFleet,
     ServiceClient,
 )
+from repro.service.tcp import start_server
 from repro.sweep import register
 from tests.service.test_service import one_shot_plan, utility_sweep
 
@@ -269,6 +274,106 @@ class TestWorkerChaos:
             responses = serve_stream(dispatcher, stream)
             assert_digest_identical(stream, responses, direct)
             assert dispatcher.counters.unavailable == 0
+
+
+class ScriptedListener:
+    """A loopback listener whose every connection runs *handler* (then
+    closes), on its own event loop thread; counts accepted connections."""
+
+    def __init__(self, handler) -> None:
+        self.connections = 0
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(target=self._loop.run_forever,
+                                        daemon=True)
+        self._thread.start()
+
+        async def counted(reader, writer):
+            self.connections += 1
+            try:
+                await handler(reader, writer)
+            finally:
+                writer.close()
+
+        self._server, bound = asyncio.run_coroutine_threadsafe(
+            start_server("127.0.0.1:0", counted), self._loop).result(10)
+        self.endpoint = str(bound)
+
+    def close(self) -> None:
+        async def stop():
+            self._server.close()
+            await self._server.wait_closed()
+
+        asyncio.run_coroutine_threadsafe(stop(), self._loop).result(10)
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join(timeout=10)
+        self._loop.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+async def answer_once(reader, writer):
+    """Answer one request line, then hang up."""
+    envelope = json.loads(await reader.readline())
+    writer.write(json.dumps({"id": envelope["id"], "ok": True,
+                             "result": {"scripted": True}}).encode() + b"\n")
+    await writer.drain()
+
+
+async def hang_up(reader, writer):
+    """Read one request line and hang up without a reply."""
+    await reader.readline()
+
+
+class TestKeptConnections:
+    def test_connection_dropped_while_idle_is_retried_fresh(self):
+        request = EngagementRequest(w=W, z=Z, num_blocks=20)
+        with ScriptedListener(answer_once) as listener:
+            dispatcher = FleetDispatcher([listener.endpoint])
+            first = dispatcher.submit(request)
+            second = dispatcher.submit(request)
+            assert first["ok"] and second["ok"], (first, second)
+            assert listener.connections == 2
+        assert dispatcher.counters.quarantined == 0
+        assert dispatcher.counters.unavailable == 0
+
+    def test_hang_up_before_reply_quarantines_and_fails_over(self):
+        request = EngagementRequest(w=(2.0, 3.5, 5.0), z=Z, num_blocks=20)
+        with ServiceClient(tcp="127.0.0.1:0") as daemon, \
+                ScriptedListener(hang_up) as listener:
+            with pytest.raises(ConnectionResetError):
+                FleetDispatcher([listener.endpoint])._call(
+                    listener.endpoint, {"op": "ping"})
+            dispatcher = FleetDispatcher(
+                [listener.endpoint, daemon.endpoint],
+                shard_key=lambda digest: 0)
+            response = dispatcher.submit(request)
+            assert response["ok"], response
+            assert result_from_dict(response["result"]).digest() \
+                == execute(request).digest()
+            assert dispatcher.quarantined == (listener.endpoint,)
+            assert dispatcher.counters.quarantined == 1
+            assert dispatcher.counters.failovers == 1
+
+    def test_expired_job_late_answer_never_reaches_next_request(self):
+        # One worker: the sleeper still holds it when its deadline
+        # answer goes out, so the engagement waits in the pool, and the
+        # sleeper's late reply is the next thing on the worker channel.
+        engagement = EngagementRequest(w=(2.0, 3.0, 4.5), z=Z, num_blocks=20)
+        with ServiceClient(tcp="127.0.0.1:0", workers=1) as daemon:
+            dispatcher = FleetDispatcher([daemon.endpoint])
+            slept = dispatcher.submit(
+                one_shot_plan("svc-sleep", {"t": 1.0}), deadline=0.3)
+            assert not slept["ok"]
+            assert slept["error"]["code"] == "deadline"
+            response = dispatcher.submit(engagement)
+            assert response["ok"], response
+            assert result_from_dict(response["result"]).digest() \
+                == execute(engagement).digest()
+            assert daemon.stats().expired == 1
 
 
 @pytest.mark.slow

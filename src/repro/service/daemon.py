@@ -36,11 +36,11 @@ Error codes:
   running.  A job already running on a worker is *not* interrupted
   (the worker finishes and the answer is dropped); only worker death
   tears a computation down mid-flight.
-* ``worker-died`` — the request is poisoned: the worker running it
-  died ``max_attempts`` times, each time a freshly forked one.  Each
-  worker runs one job on a private channel, so a death names exactly
-  the job it interrupted; requests on the other workers never notice,
-  and only the guilty request fails.
+* ``worker-died`` — the request is poisoned: its worker died on each
+  of its ``max_attempts`` attempts (every retry runs on the freshly
+  forked replacement).  Each worker runs one job on a private channel,
+  so a death names exactly the job it interrupted; requests on the
+  other workers never notice, and only the guilty request fails.
 * ``domain-error`` — the engine raised while executing a valid request.
 * ``shutting-down`` — the daemon is draining; resubmit elsewhere.
 

@@ -25,7 +25,8 @@ GOLDEN = Path(__file__).parent / "golden"
 DIGESTS = json.loads((GOLDEN / "digests.json").read_text())
 
 REQUEST_FIXTURES = ("engagement_request", "committee_request",
-                    "sweep_request", "bench_request", "market_request")
+                    "sweep_request", "bench_request", "market_request",
+                    "multi_engagement_request")
 
 
 def load(name: str) -> dict:
@@ -73,6 +74,18 @@ class TestFrozenRequests:
                 if k not in ("schema", "type")}
         assert body == {f.name for f in fields(MarketRequest)}
 
+    def test_multi_engagement_fixture_exercises_every_field(self):
+        # One fixture pins the whole multi-engagement surface, and its
+        # committee sub-payload carries the sparse engagement fields.
+        from dataclasses import fields
+
+        from repro.api import MultiEngagementRequest
+
+        data = load("multi_engagement_request")
+        body = {k for k in data if k not in ("schema", "type")}
+        assert body == {f.name for f in fields(MultiEngagementRequest)}
+        assert {"committee", "byzantine"} <= set(data["engagements"][0])
+
 
 class TestFrozenExecution:
     def test_engagement_settlement_digest_is_frozen(self):
@@ -110,3 +123,15 @@ class TestFrozenExecution:
             "and refresh deliberately) or determinism broke")
         assert result.outcome["certificates"], (
             "a committee run must archive its quorum certificates")
+
+    def test_multi_engagement_settlement_map_digest_is_frozen(self):
+        # Two engagements on one bus under sjf: a committee engagement
+        # whose deviant is fined (the quorum out-votes a fine-stealing
+        # leader) and an ncp-nfe engagement in commit mode.
+        result = execute(request_from_dict(load("multi_engagement_request")))
+        assert result.digest() == DIGESTS["multi_engagement_result"], (
+            "the settlement map changed for a frozen multi-engagement "
+            "request — arbiter or mechanism semantics moved, or "
+            "determinism broke")
+        assert not result.outcomes["E1"]["completed"]
+        assert result.outcomes["E2"]["completed"]

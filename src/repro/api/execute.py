@@ -100,23 +100,17 @@ def serial_reference(request: MultiEngagementRequest, *, memo=None,
     """Settlement digest of the serial reference execution.
 
     Each engagement runs *alone* on its own bus through the ordinary
-    solo executor, in submission order; the combined digest is computed
-    exactly as :class:`MultiEngagementResult` computes its identity.
+    solo executor, in submission order; the combined digest is the
+    identity of a :class:`MultiEngagementResult` over those outcomes.
     Contention moves flow times, never settlements, so the arbiter path
     must reproduce this digest.
     """
-    import hashlib
-
-    from repro.api.v1 import settlement_digest
-    from repro.sweep.spec import canonical_json
-
-    digests = {}
-    for eid, sub in zip(request.engagement_ids, request.sub_requests()):
-        solo = run_engagement(sub, memo=memo,
-                              signature_cache=signature_cache)
-        digests[eid] = settlement_digest(solo.outcome)
-    return hashlib.sha256(
-        canonical_json(digests).encode("ascii")).hexdigest()
+    outcomes = {eid: run_engagement(sub, memo=memo,
+                                    signature_cache=signature_cache).outcome
+                for eid, sub in zip(request.engagement_ids,
+                                    request.engagements)}
+    return MultiEngagementResult(outcomes=outcomes, policy=request.policy,
+                                 order=request.engagement_ids).digest()
 
 
 def run_sweep(request: SweepRequest, *, memo=None,

@@ -123,7 +123,7 @@ def parse_request(data: Mapping[str, Any]):
         raise _api_error(
             f"a request must be a JSON object; got {type(data).__name__}")
     kind = data.get("type")
-    cls = REQUEST_CLASSES.get(kind)
+    cls = REQUEST_CLASSES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise _api_error(f"unknown request type {kind!r}; "
                          f"valid types: {sorted(REQUEST_CLASSES)}")
@@ -136,7 +136,7 @@ def parse_result(data: Mapping[str, Any]):
         raise _api_error(
             f"a result must be a JSON object; got {type(data).__name__}")
     kind = data.get("type")
-    cls = RESULT_CLASSES.get(kind)
+    cls = RESULT_CLASSES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise _api_error(f"unknown result type {kind!r}; "
                          f"valid types: {sorted(RESULT_CLASSES)}")

@@ -561,7 +561,7 @@ def cmd_contend(args) -> int:
         subs.append(EngagementRequest(
             w=tuple(x * scale for x in args.w), z=args.z,
             kind=args.kind.value,
-            fine_factor=args.fine_factor).to_dict())
+            fine_factor=args.fine_factor))
     request = MultiEngagementRequest(engagements=tuple(subs),
                                      policy=args.policy)
     result = run_multi_engagement(request)
@@ -579,7 +579,7 @@ def cmd_contend(args) -> int:
     else:
         print(format_table(
             ("engagement", "m", "completion", "status", "settlement"),
-            [(eid, len(request.engagements[int(eid[1:]) - 1]["w"]),
+            [(eid, len(request.engagements[int(eid[1:]) - 1].w),
               result.completions[eid],
               "COMPLETED" if result.outcomes[eid].get("completed")
               else "TERMINATED",

@@ -293,9 +293,8 @@ class MarketSimulator:
             self._round_digest = result.digest()
             self._verify_rerun(req, result.digest(), caches)
             return req, {"E1": result.outcome}
-        req = MultiEngagementRequest(
-            engagements=tuple(sub.to_dict() for sub in subs),
-            policy=self.request.policy)
+        req = MultiEngagementRequest(engagements=tuple(subs),
+                                     policy=self.request.policy)
         result = execute(req, **caches)
         self._round_digest = result.digest()
         if self.verify:

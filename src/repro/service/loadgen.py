@@ -109,7 +109,7 @@ def _multi(rng: random.Random) -> MultiEngagementRequest:
         n = rng.randint(2, 3)
         subs.append(EngagementRequest(
             w=tuple(round(rng.uniform(1.5, 6.0), 3) for _ in range(n)),
-            z=z, num_blocks=rng.choice((20, 30))).to_dict())
+            z=z, num_blocks=rng.choice((20, 30))))
     return MultiEngagementRequest(engagements=tuple(subs),
                                   policy=rng.choice(("fifo", "sjf")))
 

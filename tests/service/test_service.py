@@ -107,12 +107,16 @@ class TestResultCache:
 
 class TestErrorPaths:
     def test_invalid_request_gets_actionable_error(self, client):
-        response = client.raw_request(
-            {"schema": "repro/api/v1", "type": "engagement",
-             "w": [1.0], "z": Z})
-        assert response["ok"] is False
-        assert response["error"]["code"] == "invalid-request"
-        assert "at least 2" in response["error"]["message"]
+        base = {"schema": "repro/api/v1", "type": "engagement",
+                "w": [2.0, 3.0], "z": Z}
+        for bad, expected in (({"w": [1.0]}, "at least 2"),
+                              ({"deviants": None}, "deviants"),
+                              ({"deviants": 5}, "deviants")):
+            response = client.raw_request({**base, **bad})
+            assert response["ok"] is False, bad
+            assert response["error"]["code"] == "invalid-request"
+            assert expected in response["error"]["message"]
+        assert client.ping()["pong"] is True  # the daemon still answers
 
     def test_undecodable_line_is_answered_not_dropped(self, client):
         # send_envelope JSON-encodes; go below it for a raw bad line

@@ -3,37 +3,39 @@
 One engagement's fine (Section 4's F) translates into a lasting
 earnings gap in a repeated market: the deviant forfeits an engagement
 plus the fine while its peers pocket informer rewards.  This benchmark
-runs an 8-job market where P2 deviates in job 0 and plots the running
-cumulative utilities against the all-honest counterfactual.
+runs an 8-job market — each job one ``repro.api.execute`` of an
+``EngagementRequest`` on the same processors — where P2 deviates in
+job 0, and plots the running cumulative utilities against the
+all-honest counterfactual.
 """
 
-import pytest
-
-from repro.agents.behaviors import AgentBehavior, Deviation
 from repro.analysis.reporting import format_table
-from repro.core.fines import FinePolicy
-from repro.dlt.platform import NetworkKind
-from repro.protocol.sessions import MarketSession
+from repro.api import EngagementRequest, execute
 
-W = [2.0, 3.0, 5.0, 4.0]
+W = (2.0, 3.0, 5.0, 4.0)
 Z = 0.4
 JOBS = 8
 
 
-def run_market(deviate: bool):
-    s = MarketSession(W, NetworkKind.NCP_FE, Z, policy=FinePolicy(2.0))
-    schedule = ({0: {1: AgentBehavior(deviations={Deviation.MULTIPLE_BIDS})}}
-                if deviate else None)
-    s.run_schedule(JOBS, behavior_schedule=schedule)
-    return s
+def run_market(deviate: bool) -> dict[str, list[float]]:
+    """Running cumulative utility per processor after each job."""
+    series: dict[str, list[float]] = {}
+    for job in range(JOBS):
+        deviants = ((1, "multiple-bids"),) if deviate and job == 0 else ()
+        outcome = execute(EngagementRequest(w=W, z=Z,
+                                            deviants=deviants)).outcome
+        for name, utility in outcome["utilities"].items():
+            running = series.setdefault(name, [])
+            running.append((running[-1] if running else 0.0) + utility)
+    return series
 
 
 def test_long_run_deterrence(benchmark, report):
     cheat, honest = benchmark.pedantic(
         lambda: (run_market(True), run_market(False)), rounds=1, iterations=1)
 
-    series_cheat = cheat.earnings_series("P2")
-    series_honest = honest.earnings_series("P2")
+    series_cheat = cheat["P2"]
+    series_honest = honest["P2"]
     rows = [(j + 1, series_honest[j], series_cheat[j],
              series_honest[j] - series_cheat[j]) for j in range(JOBS)]
     report(format_table(
@@ -48,8 +50,7 @@ def test_long_run_deterrence(benchmark, report):
     assert gaps[0] > 0
     # And the informers stay ahead forever.
     for name in ("P1", "P3", "P4"):
-        assert (cheat.cumulative_utility(name)
-                > honest.cumulative_utility(name))
+        assert cheat[name][-1] > honest[name][-1]
 
 
 def test_deviation_payback_horizon(benchmark, report):
@@ -58,11 +59,10 @@ def test_deviation_payback_horizon(benchmark, report):
     but the horizon expresses the fine in 'jobs of profit' units.)"""
 
     def compute():
-        honest = run_market(False)
-        cheat = run_market(True)
-        per_job = honest.records[0].outcome.utilities["P2"]
-        gap = (honest.cumulative_utility("P2")
-               - cheat.cumulative_utility("P2"))
+        honest = run_market(False)["P2"]
+        cheat = run_market(True)["P2"]
+        per_job = honest[0]
+        gap = honest[-1] - cheat[-1]
         return per_job, gap, gap / per_job
 
     per_job, gap, horizon = benchmark.pedantic(compute, rounds=1, iterations=1)

@@ -10,23 +10,26 @@ honest jobs can never close, while the informers bank their rewards.
 Run:  python examples/market_over_time.py
 """
 
-from repro.agents.behaviors import AgentBehavior, Deviation
 from repro.analysis.reporting import format_table
-from repro.core.fines import FinePolicy
-from repro.dlt.platform import NetworkKind
-from repro.protocol.sessions import MarketSession
+from repro.api import EngagementRequest, execute
 
 W = [2.0, 3.0, 5.0, 4.0]
 Z = 0.4
 JOBS = 10
 
 
-def run_world(deviate_in_job: int | None) -> MarketSession:
-    session = MarketSession(W, NetworkKind.NCP_FE, Z, policy=FinePolicy(2.0))
-    session.run_schedule(JOBS, behavior_schedule=lambda j: (
-        {1: AgentBehavior(deviations={Deviation.MULTIPLE_BIDS})}
-        if j == deviate_in_job else None))
-    return session
+def run_world(deviate_in_job: int | None) -> dict[str, list[float]]:
+    """Each processor's cumulative utility after each job; P2 cheats
+    (equivocates in bidding) in job *deviate_in_job* only."""
+    series: dict[str, list[float]] = {}
+    for job in range(JOBS):
+        deviants = ((1, "multiple-bids"),) if job == deviate_in_job else ()
+        outcome = execute(EngagementRequest(w=tuple(W), z=Z,
+                                            deviants=deviants)).outcome
+        for name, utility in outcome["utilities"].items():
+            running = series.setdefault(name, [])
+            running.append((running[-1] if running else 0.0) + utility)
+    return series
 
 
 def sparkline(series, lo, hi, width=32) -> str:
@@ -45,9 +48,9 @@ def main() -> None:
     for j in range(JOBS):
         rows.append((
             j + 1,
-            round(honest.earnings_series("P2")[j], 3),
-            round(cheat.earnings_series("P2")[j], 3),
-            round(cheat.earnings_series("P1")[j], 3),
+            round(honest["P2"][j], 3),
+            round(cheat["P2"][j], 3),
+            round(cheat["P1"][j], 3),
         ))
     print(format_table(
         ("after job", "P2 cumulative (honest world)",
@@ -55,17 +58,17 @@ def main() -> None:
         rows,
         title="Cumulative utility race"))
 
-    all_values = (honest.earnings_series("P2") + cheat.earnings_series("P2"))
+    all_values = honest["P2"] + cheat["P2"]
     lo, hi = min(all_values), max(all_values)
-    print("\nP2 honest:  " + sparkline(honest.earnings_series("P2"), lo, hi))
-    print("P2 cheated: " + sparkline(cheat.earnings_series("P2"), lo, hi))
+    print("\nP2 honest:  " + sparkline(honest["P2"], lo, hi))
+    print("P2 cheated: " + sparkline(cheat["P2"], lo, hi))
 
-    gap = (honest.cumulative_utility("P2") - cheat.cumulative_utility("P2"))
-    per_job = honest.records[0].outcome.utilities["P2"]
+    gap = honest["P2"][-1] - cheat["P2"][-1]
+    per_job = honest["P2"][0]
     print(f"\nPermanent gap: {gap:.4f} = {gap / per_job:.1f} jobs of honest "
           "profit, forfeited by a single deviation.")
     print("Informers P1/P3/P4 finished ahead of their honest-world selves by "
-          f"{cheat.cumulative_utility('P1') - honest.cumulative_utility('P1'):.4f} each.")
+          f"{cheat['P1'][-1] - honest['P1'][-1]:.4f} each.")
 
 
 if __name__ == "__main__":

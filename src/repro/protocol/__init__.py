@@ -48,7 +48,6 @@ from repro.protocol.runners import (
     ProcessingRunner,
 )
 from repro.protocol.trace import PhaseSpan, wire_digest
-from repro.protocol.sessions import EngagementRecord, MarketSession
 
 __all__ = [
     "ArbiterResult",
@@ -72,6 +71,4 @@ __all__ = [
     "BiddingRunner",
     "PaymentsRunner",
     "ProcessingRunner",
-    "EngagementRecord",
-    "MarketSession",
 ]

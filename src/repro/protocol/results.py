@@ -2,7 +2,7 @@
 
 Split out of the engine so the result type sits below the coordinator
 in the layering: runners and the engine both *produce* toward it, and
-downstream consumers (:mod:`repro.io`, the analysis layer, sessions)
+downstream consumers (:mod:`repro.io`, the analysis layer)
 can depend on the record without touching the coordinator.  The engine
 re-exports :class:`ProtocolResult` for backward compatibility.
 """

@@ -1,70 +1,52 @@
-"""Tests for repeated-engagement market sessions."""
+"""A repeated market as a stream of engagements through ``repro.api``.
+
+Each job is one ``execute(EngagementRequest(...))`` on the same
+processors; a processor's long-run earnings are the running sum of its
+per-job utilities.  These tests pin the deterrence story E17 tabulates.
+"""
 
 import pytest
 
-from repro.agents.behaviors import AgentBehavior, Deviation, misreport
-from repro.core.fines import FinePolicy
-from repro.dlt.platform import NetworkKind
-from repro.protocol.sessions import MarketSession
+from repro.api import ApiError, EngagementRequest, execute
 
-W = [2.0, 3.0, 5.0]
+W = (2.0, 3.0, 5.0)
 Z = 0.4
+CHEAT = ((1, "multiple-bids"),)  # P2 equivocates in its bidding
 
 
-def session(**kw):
-    return MarketSession(W, NetworkKind.NCP_FE, Z,
-                         policy=FinePolicy(2.0), **kw)
+def run_jobs(jobs: int, deviate_in: int | None = None) -> list[dict]:
+    """Outcome records of *jobs* engagements; P2 deviates in job
+    *deviate_in* only."""
+    return [execute(EngagementRequest(
+        w=W, z=Z, deviants=CHEAT if j == deviate_in else ())).outcome
+        for j in range(jobs)]
+
+
+def earnings(outcomes: list[dict], name: str) -> list[float]:
+    """Running cumulative utility of *name* after each job."""
+    series, total = [], 0.0
+    for outcome in outcomes:
+        total += outcome["utilities"][name]
+        series.append(total)
+    return series
 
 
 class TestBasics:
     def test_requires_two_processors(self):
-        with pytest.raises(ValueError):
-            MarketSession([2.0], NetworkKind.NCP_FE, Z)
+        with pytest.raises(ApiError, match="at least 2"):
+            EngagementRequest(w=(2.0,), z=Z)
 
     def test_honest_engagements_accumulate_positively(self):
-        s = session()
-        s.run_schedule(5)
-        assert len(s.records) == 5
-        for name in s.names:
-            assert s.cumulative_utility(name) > 0
-            series = s.earnings_series(name)
-            assert len(series) == 5
+        outcomes = run_jobs(5)
+        for name in ("P1", "P2", "P3"):
+            series = earnings(outcomes, name)
+            assert len(series) == 5 and series[-1] > 0
             assert all(b >= a for a, b in zip(series, series[1:]))
 
     def test_each_engagement_is_independent(self):
-        s = session()
-        a = s.run_engagement().outcome
-        b = s.run_engagement().outcome
-        assert a.payments == b.payments  # same instance, same outcome
+        a, b = run_jobs(2)
+        assert a["payments"] == b["payments"]  # same instance, same outcome
         assert a is not b
-
-    def test_cumulative_matches_sum_of_records(self):
-        s = session()
-        s.run_schedule(4)
-        for name in s.names:
-            total = sum(r.outcome.utilities[name] for r in s.records)
-            assert s.cumulative_utility(name) == pytest.approx(total)
-
-
-class TestSchedules:
-    def test_dict_schedule(self):
-        s = session()
-        s.run_schedule(3, behavior_schedule={
-            1: {0: misreport(1.5)},
-        })
-        # engagement 1 has P1 misreporting; others honest
-        assert s.records[0].outcome.bids["P1"] == pytest.approx(2.0)
-        assert s.records[1].outcome.bids["P1"] == pytest.approx(3.0)
-        assert s.records[2].outcome.bids["P1"] == pytest.approx(2.0)
-
-    def test_callable_schedule(self):
-        s = session()
-        s.run_schedule(4, behavior_schedule=lambda j: (
-            {1: AgentBehavior(deviations={Deviation.MULTIPLE_BIDS})}
-            if j == 2 else None))
-        assert s.records[2].outcome.fined == {
-            "P2": pytest.approx(s.records[2].outcome.fine_amount)}
-        assert s.records[3].outcome.fined == {}
 
 
 class TestLongRunDeterrence:
@@ -72,21 +54,21 @@ class TestLongRunDeterrence:
         # The deterrence arithmetic the fine bound buys: after deviating
         # once in job 0, P2 needs many honest jobs to recover what its
         # peers earned meanwhile.
-        cheat = session()
-        cheat.run_schedule(8, behavior_schedule={
-            0: {1: AgentBehavior(deviations={Deviation.MULTIPLE_BIDS})}})
-        honest = session()
-        honest.run_schedule(8)
-        gap = honest.cumulative_utility("P2") - cheat.cumulative_utility("P2")
-        per_job = honest.records[0].outcome.utilities["P2"]
+        cheat = earnings(run_jobs(8, deviate_in=0), "P2")
+        honest = earnings(run_jobs(8), "P2")
+        gap = honest[-1] - cheat[-1]
+        per_job = honest[0]
         assert gap > 5 * per_job  # the fine costs > 5 honest jobs' profit
 
     def test_informers_come_out_ahead(self):
-        cheat = session()
-        cheat.run_schedule(3, behavior_schedule={
-            0: {1: AgentBehavior(deviations={Deviation.MULTIPLE_BIDS})}})
-        honest = session()
-        honest.run_schedule(3)
+        cheat = run_jobs(3, deviate_in=0)
+        honest = run_jobs(3)
         for name in ("P1", "P3"):
-            assert (cheat.cumulative_utility(name)
-                    > honest.cumulative_utility(name))
+            assert earnings(cheat, name)[-1] > earnings(honest, name)[-1]
+
+    def test_only_the_deviants_job_carries_a_fine(self):
+        outcomes = run_jobs(4, deviate_in=2)
+        fined = [[f["who"] for v in o["verdicts"] for f in v["fines"]]
+                 for o in outcomes]
+        assert fined == [[], [], ["P2"], []]
+        assert outcomes[2]["fine_amount"] > 0

@@ -10,14 +10,18 @@ Passes, all fast enough for the PR lane:
 2. **Market** (ServiceClient): a seeded 30-round market run served off
    the pool must reproduce the direct run's stream digest and replay
    repeats from the result cache.
-3. **Out-of-process** (``repro serve`` + ``repro call``): the real CLI
+3. **Warm worker** (ServiceClient, one worker): after serving an
+   engagement under one ``pki_seed``, the worker serves the same ``w``
+   and ``z`` under another with an ``outcome`` equal in full — traffic
+   counters and phase spans included — to a direct ``execute()``.
+4. **Out-of-process** (``repro serve`` + ``repro call``): the real CLI
    daemon on a real unix socket answers ``ping``, executes a request
    file, reports ``stats``, and exits cleanly on ``shutdown``.
-4. **Hostile lines** (``repro serve`` + raw socket): an engagement
+5. **Hostile lines** (``repro serve`` + raw socket): an engagement
    line with ``"deviants": null`` and one with an over-limit
    ``num_blocks`` each come back as an ``invalid-request`` frame naming
    the field, and the daemon then still answers ``stats``.
-5. **Fleet** (``LocalFleet`` + ``FleetDispatcher``): two real TCP
+6. **Fleet** (``LocalFleet`` + ``FleetDispatcher``): two real TCP
    daemons behind the digest-sharding dispatcher serve an engagement
    and a sweep digest-identical to direct ``execute()``, a repeat hits
    a warm cache, and the fleet stats see every daemon healthy.
@@ -166,6 +170,27 @@ def market_pass() -> None:
           "direct/served, repeat cached")
 
 
+def warm_worker_pass() -> None:
+    """A worker's answer does not depend on what it served before.
+
+    Both engagements run on the one warm worker; their digests differ
+    (``pki_seed`` is part of the request), so neither comes from the
+    result cache.  The second must equal the direct call in full: a
+    cache that outlived the first engagement would turn the second's
+    memo misses into hits and show in its phase spans.
+    """
+    first = EngagementRequest(w=tuple(W), z=Z, num_blocks=60, pki_seed=4)
+    second = EngagementRequest(w=tuple(W), z=Z, num_blocks=60, pki_seed=3)
+    with ServiceClient(workers=1) as client:
+        client.request(first)
+        served = client.request(second)
+        assert not served.cached
+        assert served.outcome == execute(second).outcome, (
+            "warm worker's answer depends on the request it served before")
+    print("warm worker pass ok: second engagement's outcome equals the "
+          "direct call's, spans included")
+
+
 @contextlib.contextmanager
 def serve(sock: str):
     """A ``repro serve`` daemon listening on the unix socket *sock*."""
@@ -299,6 +324,7 @@ def main() -> int:
     committee_pass()
     multi_engagement_pass()
     market_pass()
+    warm_worker_pass()
     cli_pass()
     hostile_pass()
     fleet_pass()

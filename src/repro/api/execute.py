@@ -8,10 +8,9 @@ into the engine layers directly.  Because the service's warm workers
 run these exact functions, a served answer is byte-comparable (by
 ``digest()``) with a direct in-process call on the same request.
 
-The ``memo`` / ``signature_cache`` hooks let a long-lived host (a warm
-worker) share content-addressed caches across engagements; they change
-traffic counters only, never settlements, which is why
-:func:`repro.api.v1.settlement_digest` excludes telemetry.
+Every executor takes the request alone, and each engagement builds its
+own caches, so a warm worker's answer — traffic counters and trace
+spans included — does not depend on what the worker ran before.
 """
 
 from __future__ import annotations
@@ -43,17 +42,14 @@ __all__ = [
 ]
 
 
-def build_mechanism(request: EngagementRequest, *, memo=None,
-                    signature_cache=None):
+def build_mechanism(request: EngagementRequest):
     """The live :class:`~repro.core.dls_bl_ncp.DLSBLNCP` a request
     describes (for callers that need the bus object, e.g. ``--trace``)."""
     from repro.core.dls_bl_ncp import DLSBLNCP
     from repro.dlt.platform import NetworkKind
 
-    config = request.engine_config(memo=memo,
-                                   signature_cache=signature_cache)
     return DLSBLNCP.from_config(list(request.w), NetworkKind(request.kind),
-                                request.z, config)
+                                request.z, request.engine_config())
 
 
 def result_from_outcome(outcome, *, cached: bool = False) -> EngagementResult:
@@ -64,16 +60,13 @@ def result_from_outcome(outcome, *, cached: bool = False) -> EngagementResult:
                             cached=cached)
 
 
-def run_engagement(request: EngagementRequest, *, memo=None,
-                   signature_cache=None) -> EngagementResult:
+def run_engagement(request: EngagementRequest) -> EngagementResult:
     """Run one DLS-BL-NCP engagement end to end."""
-    outcome = build_mechanism(request, memo=memo,
-                              signature_cache=signature_cache).run()
-    return result_from_outcome(outcome)
+    return result_from_outcome(build_mechanism(request).run())
 
 
-def run_multi_engagement(request: MultiEngagementRequest, *, memo=None,
-                         signature_cache=None) -> MultiEngagementResult:
+def run_multi_engagement(request: MultiEngagementRequest
+                         ) -> MultiEngagementResult:
     """Run K engagements over one shared bus via the window arbiter.
 
     The result's ``digest_value`` covers settlements only, so it must
@@ -84,8 +77,7 @@ def run_multi_engagement(request: MultiEngagementRequest, *, memo=None,
     from repro.io import protocol_result_to_dict
     from repro.protocol.arbiter import BusArbiter
 
-    jobs = request.jobs(memo=memo, signature_cache=signature_cache)
-    out = BusArbiter(request.z, jobs, policy=request.policy).run()
+    out = BusArbiter(request.z, request.jobs(), policy=request.policy).run()
     return MultiEngagementResult(
         outcomes={eid: protocol_result_to_dict(r)
                   for eid, r in out.results.items()},
@@ -95,8 +87,7 @@ def run_multi_engagement(request: MultiEngagementRequest, *, memo=None,
     )
 
 
-def serial_reference(request: MultiEngagementRequest, *, memo=None,
-                     signature_cache=None) -> str:
+def serial_reference(request: MultiEngagementRequest) -> str:
     """Settlement digest of the serial reference execution.
 
     Each engagement runs *alone* on its own bus through the ordinary
@@ -105,21 +96,15 @@ def serial_reference(request: MultiEngagementRequest, *, memo=None,
     Contention moves flow times, never settlements, so the arbiter path
     must reproduce this digest.
     """
-    outcomes = {eid: run_engagement(sub, memo=memo,
-                                    signature_cache=signature_cache).outcome
+    outcomes = {eid: run_engagement(sub).outcome
                 for eid, sub in zip(request.engagement_ids,
                                     request.engagements)}
     return MultiEngagementResult(outcomes=outcomes, policy=request.policy,
                                  order=request.engagement_ids).digest()
 
 
-def run_sweep(request: SweepRequest, *, memo=None,
-              signature_cache=None) -> SweepResult:
-    """Run a sweep plan through the sharded engine.
-
-    ``memo``/``signature_cache`` are accepted for executor-signature
-    uniformity; sweep scenarios manage their own caches per shard.
-    """
+def run_sweep(request: SweepRequest) -> SweepResult:
+    """Run a sweep plan through the sharded engine."""
     from repro.sweep import RunOptions, run_plan
 
     run = run_plan(request.build_plan(),
@@ -127,8 +112,7 @@ def run_sweep(request: SweepRequest, *, memo=None,
     return SweepResult.from_run(run)
 
 
-def run_bench_request(request: BenchRequest, *, memo=None,
-                      signature_cache=None) -> BenchResult:
+def run_bench_request(request: BenchRequest) -> BenchResult:
     """Time the perf kernels once (no gate, no report file)."""
     from repro.perf.bench import run_bench
     from repro.sweep import RunOptions
@@ -138,15 +122,14 @@ def run_bench_request(request: BenchRequest, *, memo=None,
     return BenchResult(timings=timings, quick=request.quick)
 
 
-def run_market(request: MarketRequest, *, memo=None,
-               signature_cache=None) -> MarketResult:
+def run_market(request: MarketRequest) -> MarketResult:
     """Run a long-horizon market simulation round by round."""
     from repro.market import run_market as _run
 
-    return _run(request, memo=memo, signature_cache=signature_cache)
+    return _run(request)
 
 
-def execute(request, *, memo=None, signature_cache=None):
+def execute(request):
     """Dispatch any v1 request to its executor; returns a v1 result.
 
     Dispatch is registry-driven: :func:`repro.api.registry.executor_for`
@@ -155,7 +138,7 @@ def execute(request, *, memo=None, signature_cache=None):
     daemon and CLI, which call this same function — with no edits.
     """
     executor = _registry.executor_for(request)
-    return executor(request, memo=memo, signature_cache=signature_cache)
+    return executor(request)
 
 
 # Attach executors to the kinds repro.api.v1 registered at its import —

@@ -8,9 +8,8 @@ the serving stack needs to know about it:
 
 * its dataclass (``cls.TYPE`` is the wire discriminator — the ``type``
   tag of the v1 envelope);
-* its executor (a callable ``(request, *, memo=None,
-  signature_cache=None) -> result``), attached lazily by
-  :mod:`repro.api.execute` so parsing never drags engine layers in;
+* its executor (a callable ``(request) -> result``), attached lazily
+  by :mod:`repro.api.execute` so parsing never drags engine layers in;
 * whether the daemon may cache its results by request digest
   (``cacheable`` — false only for measurements like ``bench``, whose
   answers are wall-clock samples, not values).

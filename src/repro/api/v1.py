@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
@@ -91,10 +92,10 @@ LIMITS = {
 
 #: Fields of a protocol-result record that constitute the *settlement*
 #: — what the mechanism decided — as opposed to operational telemetry
-#: (traffic counters, trace spans).  The canonical digest of a served
-#: engagement covers exactly these, so a result computed on a warm
-#: worker with long-lived caches digests identically to a cold direct
-#: call: caches change counters, never settlements.
+#: (traffic counters, trace spans).  The canonical digest of an
+#: engagement covers exactly these, so a run contending for a shared
+#: bus digests identically to the same engagement run alone:
+#: contention moves flow times, never settlements.
 SETTLEMENT_FIELDS = (
     "format", "completed", "terminal_phase", "order", "participants",
     "bids", "alpha", "phi", "payments", "balances", "costs", "utilities",
@@ -133,6 +134,9 @@ def _fail(message: str) -> None:
 
 def _check_number(name: str, value, *, minimum=None, maximum=None,
                   exclusive_min=False, exclusive_max=False) -> float:
+    # A JSON true or "0.4" would pass float(); only real numbers do here.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        _fail(f"{name} must be a number; got {value!r}")
     try:
         out = float(value)
     except (TypeError, ValueError, OverflowError):
@@ -431,9 +435,9 @@ class EngagementRequest(_Payload):
                   f"{limit} Byzantine member(s) (f = (N-1)//3); "
                   f"got {len(seats)}")
 
-    def engine_config(self, *, memo=None, signature_cache=None):
+    def engine_config(self):
         """The :class:`repro.core.dls_bl_ncp.EngineConfig` this request
-        describes (optionally wired to a host's long-lived caches)."""
+        describes."""
         from repro.agents.behaviors import AgentBehavior, Deviation
         from repro.core.dls_bl_ncp import EngineConfig
         from repro.core.fines import FinePolicy
@@ -474,8 +478,6 @@ class EngagementRequest(_Payload):
             fault_plan=fault_plan,
             redundancy=self.redundancy,
             pki_seed=self.pki_seed,
-            memo=memo if self.redundancy == "memoized" else None,
-            signature_cache=signature_cache,
             committee=committee,
         )
 
@@ -584,9 +586,9 @@ class MultiEngagementRequest(_Payload):
     def engagement_ids(self) -> tuple[str, ...]:
         return tuple(f"E{i + 1}" for i in range(len(self.engagements)))
 
-    def jobs(self, *, memo=None, signature_cache=None) -> tuple:
+    def jobs(self) -> tuple:
         """The :class:`repro.protocol.arbiter.EngagementJob` tuple this
-        request describes (optionally wired to a host's caches)."""
+        request describes."""
         from repro.dlt.platform import NetworkKind
         from repro.protocol.arbiter import EngagementJob
 
@@ -595,8 +597,7 @@ class MultiEngagementRequest(_Payload):
                 engagement_id=eid,
                 w=sub.w,
                 kind=NetworkKind(sub.kind),
-                config=sub.engine_config(memo=memo,
-                                         signature_cache=signature_cache))
+                config=sub.engine_config())
             for eid, sub in zip(self.engagement_ids, self.engagements))
 
 

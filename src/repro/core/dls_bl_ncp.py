@@ -27,7 +27,6 @@ from repro.core.quorum import CommitteeConfig
 from repro.crypto.pki import PKI
 from repro.dlt.platform import NetworkKind
 from repro.network.faults import FaultPlan
-from repro.perf import ComputationCache, SignatureCache
 from repro.protocol.engine import (
     PhaseDeadlines,
     ProtocolEngine,
@@ -71,17 +70,6 @@ class EngineConfig:
         results either way.
     pki_seed:
         Deterministic key minting (byte-identical wire traces).
-    memo:
-        Optional externally owned :class:`ComputationCache` shared
-        *across* engagements (the service's warm workers use this);
-        ``None`` gives the engagement its own per-run cache.  Only
-        meaningful with ``redundancy="memoized"``.
-    signature_cache:
-        Optional externally owned :class:`SignatureCache` handed to the
-        engagement's PKI.  Safe to share across engagements: verdicts
-        are keyed by ``(signer, payload+signature digest)``, so entries
-        from a differently keyed universe can never collide with — let
-        alone answer for — this one.
     committee:
         ``None`` (default) adjudicates with the single trusted referee;
         a :class:`~repro.core.quorum.CommitteeConfig` replaces it with a
@@ -99,15 +87,7 @@ class EngineConfig:
     retry: RetryPolicy | None = None
     redundancy: str = "memoized"
     pki_seed: int | None = None
-    memo: ComputationCache | None = None
-    signature_cache: SignatureCache | None = None
     committee: CommitteeConfig | None = None
-
-    def __post_init__(self) -> None:
-        if self.memo is not None and self.redundancy != "memoized":
-            raise ValueError(
-                "a shared memo requires redundancy='memoized'; "
-                f"got redundancy={self.redundancy!r}")
 
 
 _CONFIG_FIELDS = tuple(f.name for f in fields(EngineConfig))
@@ -183,8 +163,7 @@ class DLSBLNCP:
                 raise ValueError(f"need {m} behaviors, got {len(behaviors)}")
             table = list(behaviors)
 
-        self.pki = PKI(seed=config.pki_seed,
-                       signature_cache=config.signature_cache)
+        self.pki = PKI(seed=config.pki_seed)
         self.user_key = self.pki.register("user")
         agents = []
         for name, w, behavior in zip(names, w_true, table):
@@ -198,7 +177,7 @@ class DLSBLNCP:
             bidding_mode=config.bidding_mode,
             fault_plan=config.fault_plan, deadlines=config.deadlines,
             retry=config.retry,
-            redundancy=config.redundancy, memo=config.memo,
+            redundancy=config.redundancy,
             committee=config.committee,
             # Transport injection (not part of the frozen EngineConfig —
             # a live bus is wiring, not engagement data): the arbiter

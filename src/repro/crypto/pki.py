@@ -8,14 +8,13 @@ ask the PKI to verify a :class:`SignedMessage` against the registered
 identity.  The PKI never reveals keys, so verification-by-oracle is
 observationally the same as verifying with a public key.
 
-Verification is memoized through a
-:class:`repro.perf.sigcache.SignatureCache` keyed by
-``(signer, message digest)``: the protocol asks every participant to
-verify the *same* broadcast messages, so the oracle computes each
-verdict once and serves repeats from the cache.  The memo is
-semantically invisible — the digest covers payload *and* signature, so
-any forged variant keys separately — and it is invalidated per signer
-by :meth:`PKI.rotate`, the only operation that can change a verdict.
+Verdicts are stamped on the :class:`SignedMessage` object itself,
+together with the key object that produced them: the protocol asks
+every participant to verify the *same* broadcast object, so the oracle
+runs the HMAC once per object and answers repeats from the stamp.  The
+stamp is semantically invisible — a forged variant is a different
+object, and a stamp answers only the key object it was made with — so
+neither a rotated key nor another PKI's key ever matches a stale one.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.crypto.signatures import SignedMessage, SigningKey
-from repro.perf.sigcache import SignatureCache
+from repro.perf.cache import CacheStats
 
 __all__ = ["Principal", "PKI"]
 
@@ -52,22 +51,16 @@ class PKI:
         pool, so two separately constructed runs mint *identical* keys
         — which is what lets the equivalence tests demand byte-identical
         wire traces across runs.  Production use leaves it ``None``.
-    signature_cache:
-        Optional externally owned verification cache, so long-running
-        hosts (the request service's warm workers) can keep verdicts
-        across engagements.  Sharing is safe regardless of key seeds:
-        verdicts are keyed by ``(signer, payload+signature digest)``,
-        so a message from a differently keyed universe can never be
-        answered by a stale entry.  Default: a private fresh cache.
+
+    :attr:`stats` counts verdicts answered from a stamp (``hits``) and
+    HMAC verifications run (``misses``).
     """
 
-    def __init__(self, *, seed: int | None = None,
-                 signature_cache: SignatureCache | None = None) -> None:
+    def __init__(self, *, seed: int | None = None) -> None:
         self._keys: dict[str, SigningKey] = {}
         self._seed = seed
         self._rotations: dict[str, int] = {}
-        self.signature_cache = (signature_cache if signature_cache is not None
-                                else SignatureCache())
+        self.stats = CacheStats()
 
     def _mint_key(self, name: str) -> SigningKey:
         if self._seed is None:
@@ -91,10 +84,10 @@ class PKI:
         return key
 
     def rotate(self, name: str) -> SigningKey:
-        """Replace *name*'s key, invalidating its cached verdicts.
+        """Replace *name*'s key.
 
-        Re-keying changes what verifies, so every memoized verdict for
-        the signer is dropped: messages signed under the old key stop
+        The new key is a new object, so no verdict stamped under the
+        old one matches it: messages signed under the old key stop
         verifying, exactly as they would against a fresh oracle.
         """
         if name not in self._keys:
@@ -102,7 +95,6 @@ class PKI:
         self._rotations[name] = self._rotations.get(name, 0) + 1
         key = self._mint_key(name)
         self._keys[name] = key
-        self.signature_cache.invalidate(name)
         return key
 
     def is_registered(self, name: str) -> bool:
@@ -113,22 +105,21 @@ class PKI:
 
         Unknown identities never verify.  Messages failing verification
         are discarded by honest processors per the Bidding phase rules.
-        Repeat queries for the same (signer, digest) are served from the
-        verification cache.
+        Repeat queries on the same object are answered from its stamp.
         """
         key = self._keys.get(signed.signer)
         if key is None:
             return False
-        # Object-level fast path: the same SignedMessage instance is
-        # verified by every broadcast recipient, so the verdict rides
-        # on the object, keyed by the verifying key's *identity* —
-        # rotation mints a new key object, which misses here and falls
-        # through to the (invalidated) digest cache.
+        # The same SignedMessage instance is verified by every broadcast
+        # recipient, so the verdict rides on the object, keyed by the
+        # verifying key's *identity*: a rotated key, or another PKI's
+        # key, is another object and misses.
         cached = signed._verified
         if cached is not None and cached[0] is key:
-            self.signature_cache.stats.hits += 1
+            self.stats.hits += 1
             return cached[1]
-        verdict = self.signature_cache.verify(key, signed)
+        self.stats.misses += 1
+        verdict = key.verify(signed)
         object.__setattr__(signed, "_verified", (key, verdict))
         return verdict
 
@@ -137,8 +128,8 @@ class PKI:
 
         The explicit short-circuit matters on the dispute paths, where
         bid vectors are ``O(m)`` long and a manipulated entry should
-        not cost ``m`` verifications to reject; passing messages warm
-        the shared verification cache for later queries.
+        not cost ``m`` verifications to reject; passing messages carry
+        their verdict stamps into later queries.
         """
         for m in messages:
             if not self.verify(m):

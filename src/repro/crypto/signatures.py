@@ -45,21 +45,20 @@ class SignedMessage:
     against the PKI's registered key confirms it.  ``payload`` keeps the
     original structured message so protocol code never re-parses bytes.
 
-    The canonical encoding and its content digest are computed lazily
-    and cached on the instance: one signed message is typically
-    canonicalized ``O(m)`` times per protocol run (every recipient
-    archives, de-duplicates and verifies the same broadcast object), so
-    the hot paths key off :attr:`canonical` / :attr:`digest` instead of
-    re-serializing the payload.  Neither cache field participates in
-    equality; the message identity stays (signer, payload, signature).
+    The canonical encoding is computed lazily and cached on the
+    instance: one signed message is typically canonicalized ``O(m)``
+    times per protocol run (every recipient archives, de-duplicates and
+    verifies the same broadcast object), so the hot paths key off
+    :attr:`canonical` instead of re-serializing the payload.  Neither
+    cache field participates in equality; the message identity stays
+    (signer, payload, signature).
     """
 
     signer: str
     payload: Any
     signature: bytes
     _canonical: bytes | None = field(default=None, repr=False, compare=False)
-    _digest: bytes | None = field(default=None, repr=False, compare=False)
-    # (verifying key object, verdict) — the PKI's per-object fast path.
+    # (verifying key object, verdict) — the PKI's verdict stamp.
     # Keyed by key *identity*, so rotating a key (a new SigningKey
     # object) naturally invalidates it; never part of equality.
     _verified: tuple | None = field(default=None, repr=False, compare=False)
@@ -72,21 +71,6 @@ class SignedMessage:
             c = canonical_bytes(self.payload)
             object.__setattr__(self, "_canonical", c)
         return c
-
-    @property
-    def digest(self) -> bytes:
-        """Content address of this signed message.
-
-        SHA-256 over the canonical payload and the signature, so two
-        messages share a digest iff they carry the same payload *and*
-        the same MAC — the key shape the PKI's verification cache and
-        the agents' archive de-duplication both rely on.
-        """
-        d = self._digest
-        if d is None:
-            d = hashlib.sha256(self.canonical + b"\x00" + self.signature).digest()
-            object.__setattr__(self, "_digest", d)
-        return d
 
     @property
     def size_bytes(self) -> int:

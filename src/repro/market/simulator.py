@@ -107,11 +107,8 @@ def _mean(values: list[float]) -> float:
 class MarketSimulator:
     """One seeded long-horizon run; see the module docstring."""
 
-    def __init__(self, request: MarketRequest, *, memo=None,
-                 signature_cache=None, verify: bool = False) -> None:
+    def __init__(self, request: MarketRequest, *, verify: bool = False) -> None:
         self.request = request
-        self.memo = memo
-        self.signature_cache = signature_cache
         self.verify = verify
         self.history = MarketHistory(decay=request.reputation_decay,
                                      floor=request.admission_floor)
@@ -285,23 +282,21 @@ class MarketSimulator:
         clock), every other round against a re-execution (settlements
         are deterministic regardless).
         """
-        caches = dict(memo=self.memo,
-                      signature_cache=self.signature_cache)
         if len(subs) == 1:
             req = subs[0]
-            result = execute(req, **caches)
+            result = execute(req)
             self._round_digest = result.digest()
-            self._verify_rerun(req, result.digest(), caches)
+            self._verify_rerun(req, result.digest())
             return req, {"E1": result.outcome}
         req = MultiEngagementRequest(engagements=tuple(subs),
                                      policy=self.request.policy)
-        result = execute(req, **caches)
+        result = execute(req)
         self._round_digest = result.digest()
         if self.verify:
             fault_free = all(not sub.deviants and not sub.crash
                              for sub in subs)
             if fault_free:
-                reference = serial_reference(req, **caches)
+                reference = serial_reference(req)
                 if reference != result.digest():
                     raise MarketError(
                         f"round {self._round}: contended settlements "
@@ -309,15 +304,15 @@ class MarketSimulator:
                         f"({result.digest()} != {reference})")
                 self._verified += 1
             else:
-                self._verify_rerun(req, result.digest(), caches)
+                self._verify_rerun(req, result.digest())
         return req, dict(result.outcomes)
 
-    def _verify_rerun(self, req, digest: str, caches: dict) -> None:
+    def _verify_rerun(self, req, digest: str) -> None:
         """The determinism half of ``--verify``: same request, same
         settlement digest on a fresh execution."""
         if not self.verify:
             return
-        again = execute(req, **caches)
+        again = execute(req)
         if again.digest() != digest:
             raise MarketError(
                 f"round {self._round}: settlement digest not "
@@ -396,7 +391,7 @@ class MarketSimulator:
         )
 
 
-def run_market(request: MarketRequest, *, memo=None, signature_cache=None,
+def run_market(request: MarketRequest, *,
                verify: bool = False) -> MarketResult:
     """Run a :class:`MarketRequest` end to end (the ``market`` executor).
 
@@ -405,6 +400,4 @@ def run_market(request: MarketRequest, *, memo=None, signature_cache=None,
     never verifies (the soak tier compares digests across topologies
     instead).
     """
-    return MarketSimulator(request, memo=memo,
-                           signature_cache=signature_cache,
-                           verify=verify).run()
+    return MarketSimulator(request, verify=verify).run()

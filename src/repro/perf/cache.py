@@ -63,10 +63,9 @@ def _instance_key(tag: bytes, network) -> bytes:
 class ComputationCache:
     """Content-addressed memo for allocation / exclusion / payment vectors.
 
-    One instance is scoped to one protocol engagement (the engine owns
-    it and injects it into its agents and referee), but nothing in the
-    keying scheme depends on that scope — keys are pure content
-    addresses, so sharing an instance across engagements is safe too.
+    One instance is scoped to one protocol engagement: the engine
+    builds it and injects it into its agents and referee, and it is
+    dropped with the engine, so no engagement observes another's hits.
     """
 
     __slots__ = ("stats", "_store", "_nets", "_wire")

@@ -91,7 +91,7 @@ class ProtocolEngine:
     *deadlines* / *retry* timeouts, ack/retry recovery, and survivor
     re-allocation.
 
-    *redundancy*: ``"memoized"`` (default) injects one shared
+    *redundancy*: ``"memoized"`` (default) injects one fresh
     content-addressed :class:`~repro.perf.cache.ComputationCache` into
     every agent and the referee — keyed by a digest of each party's
     *own* inputs, so the memo is semantically invisible;
@@ -117,7 +117,6 @@ class ProtocolEngine:
         deadlines: PhaseDeadlines | None = None,
         retry: RetryPolicy | None = None,
         redundancy: str = "memoized",
-        memo: ComputationCache | None = None,
         committee: CommitteeConfig | None = None,
         bus: Bus | None = None,
         engagement_id: str | None = None,
@@ -147,12 +146,7 @@ class ProtocolEngine:
         self.user_key = user_key
         self.policy = policy or FinePolicy()
         self.num_blocks = int(num_blocks)
-        if memo is not None and redundancy != "memoized":
-            raise ValueError("an injected memo requires redundancy='memoized'")
-        if redundancy == "memoized":
-            self.memo = memo if memo is not None else ComputationCache()
-        else:
-            self.memo = None
+        self.memo = ComputationCache() if redundancy == "memoized" else None
         for agent in agents:
             agent.memo = self.memo
         # Adjudication: a single trusted referee by default; with a
@@ -174,14 +168,11 @@ class ProtocolEngine:
             self._adjudicator = CommitteeAdjudicator(self.committee)
             self.referee = self._adjudicator
         self.infra = PaymentInfrastructure(USER)
-        # Per-engagement deltas: the PKI (with its verification cache)
-        # and an injected memo may outlive this engine, so snapshot the
-        # counters now and report only what *this* engagement adds.
-        sig = pki.signature_cache.stats
+        # Per-engagement deltas: the PKI may outlive this engine, so
+        # snapshot the counters now and report only what *this*
+        # engagement adds.
+        sig = pki.stats
         self._sig_base = (sig.hits, sig.misses)
-        memo_stats = self.memo.stats if self.memo is not None else None
-        self._memo_base = ((memo_stats.hits, memo_stats.misses)
-                           if memo_stats is not None else (0, 0))
         self.deadlines = deadlines or PhaseDeadlines()
         self.retry = retry or RetryPolicy()
         # An empty plan must leave zero trace: stay on the plain Bus so
@@ -277,7 +268,7 @@ class ProtocolEngine:
         """Snapshot of the traffic/cache counters, for span deltas."""
         stats = self.bus.stats
         memo = self.memo.stats if self.memo is not None else None
-        sig = self.pki.signature_cache.stats
+        sig = self.pki.stats
         adjudicator = self._adjudicator
         return (stats.messages, stats.bytes, stats.retries,
                 memo.hits if memo is not None else 0,
@@ -305,9 +296,9 @@ class ProtocolEngine:
         costs = {n: ctx.costs.get(n, 0.0) for n in self.order}
         stats = self.bus.stats
         if self.memo is not None:
-            stats.memo_hits = self.memo.stats.hits - self._memo_base[0]
-            stats.memo_misses = self.memo.stats.misses - self._memo_base[1]
-        sig = self.pki.signature_cache.stats
+            stats.memo_hits = self.memo.stats.hits
+            stats.memo_misses = self.memo.stats.misses
+        sig = self.pki.stats
         stats.sig_cache_hits = sig.hits - self._sig_base[0]
         stats.sig_cache_misses = sig.misses - self._sig_base[1]
         balances = {n: self.infra.balance(n) for n in self.order}

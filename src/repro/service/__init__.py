@@ -8,9 +8,9 @@ executes them on a warm, reusable fork worker pool:
 
 * bounded request queue with explicit backpressure;
 * per-request deadlines (queued *and* running time count);
-* cross-request caches — a service-level result cache keyed by request
-  digest, plus per-worker ComputationCache/SignatureCache that persist
-  because workers are reused;
+* a service-level result cache keyed by request digest — the only
+  cache that outlives a request; workers are reused but keep no
+  state between requests;
 * responses carrying the same canonical digests as direct serial calls
   (pinned by ``tests/service/test_service.py``);
 * per-phase trace spans attached to every engagement response;

@@ -3,8 +3,8 @@
 The daemon keeps one :class:`WarmPool` alive across requests.  Workers
 are forked eagerly at construction (and pinged, so the first real
 request never pays process start-up) and reused until they die or the
-service shuts down — reuse is what makes the per-worker caches in
-:mod:`repro.service.worker` accumulate across requests.
+service shuts down.  Reuse saves start-up and imports only: a worker
+keeps no state between requests (:mod:`repro.service.worker`).
 
 Each worker owns one channel and runs one job at a time, and the
 daemon's event loop reads every channel, so replies and deaths are

@@ -1,12 +1,11 @@
 """The function that runs inside warm worker processes.
 
-A worker lives for many requests (that is the point of the warm pool),
-so it owns process-global content-addressed caches: the first
-engagement pays for its allocation/payment computations and signature
-verifications, later engagements touching the same signed payloads hit
-the caches.  The caches alter traffic *counters* only — settlements are
-pure functions of the request — which is why a served answer's
-:func:`repro.api.settlement_digest` matches a cold direct call's.
+A worker lives for many requests (that is the point of the warm pool:
+the interpreter and the engine imports are paid once), but it keeps no
+state between them.  Each request runs through :func:`repro.api.execute`
+exactly as a direct call does, with caches that live for one engagement,
+so a served answer equals a direct call's answer — traffic counters and
+trace spans included — whatever the worker ran before.
 
 Everything crossing the process boundary is a plain dict (the v1 wire
 encoding), so the pool never depends on pickling live engine objects.
@@ -17,20 +16,6 @@ from __future__ import annotations
 from typing import Any
 
 __all__ = ["execute_payload", "worker_ping"]
-
-_MEMO = None
-_SIGCACHE = None
-
-
-def _caches():
-    """This worker's long-lived caches (created on first request)."""
-    global _MEMO, _SIGCACHE
-    if _MEMO is None:
-        from repro.perf import ComputationCache, SignatureCache
-
-        _MEMO = ComputationCache()
-        _SIGCACHE = SignatureCache()
-    return _MEMO, _SIGCACHE
 
 
 def worker_ping() -> bool:
@@ -53,9 +38,8 @@ def execute_payload(payload: dict) -> tuple[str, dict[str, Any]]:
         request = request_from_dict(payload)
     except ApiError as exc:
         return "error", {"code": "invalid-request", "message": str(exc)}
-    memo, signature_cache = _caches()
     try:
-        result = execute(request, memo=memo, signature_cache=signature_cache)
+        result = execute(request)
     except ApiError as exc:
         return "error", {"code": "invalid-request", "message": str(exc)}
     except Exception as exc:  # noqa: BLE001 — shipped to the parent as data

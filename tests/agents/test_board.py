@@ -66,7 +66,8 @@ class TestFold:
         real_verify = SigningKey.verify
 
         def counting_verify(key, signed):
-            verified.append(signed.digest)
+            verified.append((signed.signer, signed.canonical,
+                             signed.signature))
             return real_verify(key, signed)
 
         monkeypatch.setattr(SigningKey, "verify", counting_verify)

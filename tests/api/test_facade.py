@@ -50,12 +50,6 @@ class TestEngineConfig:
         mech = DLSBLNCP.from_config(W, NetworkKind.NCP_FE, Z, config)
         assert mech.run().completed
 
-    def test_injected_memo_requires_memoized_redundancy(self):
-        from repro.perf import ComputationCache
-
-        with pytest.raises(ValueError, match="memoized"):
-            EngineConfig(memo=ComputationCache(), redundancy="independent")
-
 
 class TestRunOptions:
     def plan(self, n=6):

@@ -47,16 +47,17 @@ class TestCompleteness:
             assert callable(entry.executor), f"{kind} has no executor"
 
     def test_executors_share_one_signature(self):
-        # The daemon's warm workers call every executor the same way;
-        # a kind that cannot accept the cache kwargs would break them.
+        # execute() and the daemon's warm workers call every executor
+        # with the request alone: no executor takes state that could
+        # outlive one call.
         import inspect
 
         import repro.api.execute  # noqa: F401
 
         for kind in REQUEST_KINDS:
             sig = inspect.signature(request_entry(kind).executor)
-            assert {"memo", "signature_cache"} <= set(sig.parameters), (
-                f"{kind} executor must accept memo/signature_cache")
+            assert list(sig.parameters) == ["request"], (
+                f"{kind} executor must take only the request")
 
 
 class TestCachePolicy:
@@ -136,9 +137,7 @@ class TestExecutorDispatch:
                 self.handled = False
 
         try:
-            register_request(
-                ProbeRequest,
-                lambda req, *, memo=None, signature_cache=None: "probed")
+            register_request(ProbeRequest, lambda request: "probed")
             assert execute(ProbeRequest()) == "probed"
         finally:
             registry.REQUEST_CLASSES.pop("registry-probe", None)
@@ -166,4 +165,4 @@ class TestExecutorDispatch:
             [{"w": [2.0, 3.0], "z": 0.4, "kind": "ncp-fe", "i": 0,
               "bid_factor": 1.0, "exec_factor": 1.0}]).to_dict()
         req = SweepRequest(plan=plan)
-        assert execute(req, memo=None, signature_cache=None).digest()
+        assert execute(req).digest()

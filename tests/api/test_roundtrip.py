@@ -103,6 +103,8 @@ class TestEngagementRequestValidation:
         (dict(w=W, z=Z, deviants=None), "deviants"),
         (dict(w=W, z=Z, crash=5), "crash"),
         (dict(w=W, z=Z, committee=4, byzantine={}), "byzantine"),
+        (dict(w=(True, 2.0), z=Z), r"w\[0\]"),
+        (dict(w=W, z="0.4"), "z"),
     ])
     def test_actionable_validation_errors(self, kwargs, match):
         with pytest.raises(ApiError, match=match):
@@ -250,6 +252,7 @@ class TestMarketRequest:
         (dict(admission_floor=1.0), "admission_floor"),
         (dict(window=0), "window"),
         (dict(deviants=5), "deviants"),
+        (dict(arrival_rate=True), "arrival_rate"),
     ])
     def test_actionable_validation_errors(self, kwargs, match):
         with pytest.raises(ApiError, match=match):
@@ -360,17 +363,3 @@ class TestExecuteDigestIdentity:
 
         req = SweepRequest(plan=square_plan_dict())
         assert execute(req).digest() == run_plan(req.build_plan()).digest()
-
-    def test_shared_caches_do_not_change_settlement(self):
-        from repro.perf import ComputationCache, SignatureCache
-        from repro.api import run_engagement
-
-        memo, sigs = ComputationCache(), SignatureCache()
-        req = EngagementRequest(w=W, z=Z)
-        first = run_engagement(req, memo=memo, signature_cache=sigs)
-        warm = run_engagement(req, memo=memo, signature_cache=sigs)
-        cold = run_engagement(req)
-        assert first.digest() == warm.digest() == cold.digest()
-        # the warm run actually hit the shared caches
-        assert (warm.outcome["traffic"] != cold.outcome["traffic"]
-                or memo.stats.hits > 0)

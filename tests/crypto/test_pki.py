@@ -82,7 +82,7 @@ class TestVerificationCache:
         pki = PKI()
         key = pki.register("P1")
         sm = key.sign({"bid": 2.0})
-        stats = pki.signature_cache.stats
+        stats = pki.stats
         assert pki.verify(sm)
         assert stats.misses == 1
         assert pki.verify(sm)
@@ -90,21 +90,21 @@ class TestVerificationCache:
         assert stats.hits == 2 and stats.misses == 1
 
     def test_rotation_invalidates_cached_verdicts(self):
-        # The satellite requirement: re-keying a name must not let a
-        # stale cached verdict survive — under either cache layer.
+        # Re-keying a name must not let a stale verdict survive, on the
+        # stamped object or on a fresh copy of it.
         pki = PKI()
         key = pki.register("P1")
         sm = key.sign({"bid": 2.0})
-        assert pki.verify(sm)          # warm object + digest caches
-        assert pki.verify(sm)          # object-level fast path
-        # A structurally equal copy exercises the digest cache alone
-        # (no cached verdict rides on this fresh object).
+        assert pki.verify(sm)          # HMAC, then stamped on the object
+        assert pki.verify(sm)          # answered by the stamp
+        # A structurally equal copy carries no stamp: it is verified
+        # afresh.
         copy = SignedMessage(sm.signer, sm.payload, sm.signature)
         assert pki.verify(copy)
         new_key = pki.rotate("P1")
-        assert not pki.verify(sm)      # object-cache path invalidated
+        assert not pki.verify(sm)      # the stamp names the old key
         assert not pki.verify(SignedMessage(sm.signer, sm.payload,
-                                            sm.signature))  # digest path
+                                            sm.signature))  # fresh copy
         assert pki.verify(new_key.sign({"bid": 2.0}))
 
     def test_forged_variant_keys_separately(self):
@@ -121,9 +121,29 @@ class TestVerificationCache:
         good1 = k1.sign({"a": 1})
         bad = SignedMessage("P1", {"a": 2}, good1.signature)
         never = k2.sign({"b": 3})
-        stats = pki.signature_cache.stats
+        stats = pki.stats
         assert not pki.verify_all([good1, bad, never])
         # good1 (miss) + bad (miss) were checked; `never` was not.
         assert stats.lookups == 2
         assert pki.verify(never)       # first real verification: a miss
         assert stats.misses == 3
+
+
+class TestVerdictsStayWithTheirPKI:
+    """Two PKIs with different seeds each register ``P1``: a message
+    one PKI's key signed never verifies under the other, whatever the
+    signer's PKI verified before."""
+
+    @pytest.mark.parametrize("seeds", [(1, 2), (2, 1)],
+                             ids=["a-signs", "b-signs"])
+    def test_foreign_signature_never_verifies(self, seeds):
+        own, other = PKI(seed=seeds[0]), PKI(seed=seeds[1])
+        key = own.register("P1")
+        other.register("P1")
+        sm = key.sign({"bid": 2.0})
+        assert own.verify(sm)
+        assert not other.verify(sm)    # the same, stamped object
+        assert own.verify(SignedMessage(sm.signer, sm.payload, sm.signature))
+        assert not other.verify(SignedMessage(sm.signer, sm.payload,
+                                              sm.signature))  # fresh copy
+        assert own.verify(sm) and not other.verify(sm)

@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from repro.crypto.signatures import SigningKey, canonical_bytes
+from repro.crypto.signatures import canonical_bytes
 from repro.dlt.closed_form import allocate
 from repro.dlt.platform import BusNetwork, NetworkKind
-from repro.perf import ComputationCache, SignatureCache
+from repro.perf import ComputationCache
 
 
 def net(w=(2.0, 3.0, 5.0), z=0.4, kind=NetworkKind.NCP_FE):
@@ -112,24 +112,3 @@ class TestPaymentsPayloadCache:
         second = memo.payments_payload(n, w_exec)
         assert first[0] is second[0] and first[1] is second[1]
 
-
-class TestSignatureCache:
-    def test_hit_miss_accounting(self):
-        cache = SignatureCache()
-        key = SigningKey("P1")
-        sm = key.sign({"bid": 2.0})
-        assert cache.verify(key, sm)
-        assert cache.verify(key, sm)
-        assert cache.stats.misses == 1 and cache.stats.hits == 1
-        assert len(cache) == 1
-
-    def test_invalidate_per_signer(self):
-        cache = SignatureCache()
-        k1, k2 = SigningKey("P1"), SigningKey("P2")
-        a, b = k1.sign({"x": 1}), k2.sign({"y": 2})
-        cache.verify(k1, a)
-        cache.verify(k2, b)
-        cache.invalidate("P1")
-        assert len(cache) == 1
-        cache.verify(k1, a)             # recomputed
-        assert cache.stats.misses == 3

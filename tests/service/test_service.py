@@ -88,6 +88,21 @@ class TestConcurrentMixedLoad:
         assert any("BID" in p.upper() for p in phases)
 
 
+class TestWarmWorker:
+    def test_answer_does_not_depend_on_worker_history(self):
+        # One worker process runs many requests; the second answer must
+        # equal a direct call's in full — traffic counters and phase
+        # spans included — although the first request left the same
+        # allocation and payment computations behind.
+        from repro.service.worker import execute_payload
+
+        first = EngagementRequest(w=W, z=Z, pki_seed=4)
+        second = EngagementRequest(w=W, z=Z, pki_seed=3)
+        assert execute_payload(first.to_dict())[0] == "ok"
+        assert execute_payload(second.to_dict()) \
+            == ("ok", execute(second).to_dict())
+
+
 class TestResultCache:
     def test_repeat_engagement_is_a_cache_hit(self, client):
         req = EngagementRequest(w=(2.5, 3.5, 5.5), z=Z, seed=99)

@@ -7,9 +7,6 @@ classic participation knee: the optimal cohort size grows with the load
 volume and shrinks with the communication startup ``s_c``.
 """
 
-import numpy as np
-import pytest
-
 from repro.analysis.reporting import format_table
 from repro.dlt.affine import AffineBus, optimal_cohort
 

@@ -17,8 +17,6 @@ Also reports the commitment scheme's own price: m extra broadcast
 messages and m(m-1) point-to-point bids versus m broadcasts.
 """
 
-import pytest
-
 from repro.agents.behaviors import AgentBehavior, Deviation
 from repro.analysis.reporting import format_table
 from repro.core.dls_bl_ncp import DLSBLNCP

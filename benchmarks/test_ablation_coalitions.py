@@ -8,9 +8,6 @@ exclusion term ``T(alpha(b_{-i}), b_{-i})`` — motivates the authors'
 follow-up line on coalitional divisible-load scheduling.
 """
 
-import numpy as np
-import pytest
-
 from repro.analysis.coalitions import coalition_sweep
 from repro.analysis.reporting import format_table
 from repro.dlt.platform import BusNetwork, NetworkKind

@@ -9,7 +9,6 @@ nearly free on large clusters.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis.economics import overpayment_sweep, user_cost_breakdown
 from repro.analysis.reporting import format_table

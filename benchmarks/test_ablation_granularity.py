@@ -10,7 +10,6 @@ deterministic rule).
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis.reporting import format_table
 from repro.core.dls_bl_ncp import DLSBLNCP

@@ -11,7 +11,6 @@ dominant.  This is the paper's central design choice, quantified.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis.reporting import format_table
 from repro.core.payments import payments

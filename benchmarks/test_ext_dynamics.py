@@ -10,7 +10,6 @@ equilibrium would guarantee (nothing).
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis.dynamics import best_response_dynamics
 from repro.analysis.reporting import format_table

@@ -7,9 +7,6 @@ makespans), and (b) shortest-job-first minimizes mean flow time, by a
 large factor, while barely moving the makespan.
 """
 
-import numpy as np
-import pytest
-
 from repro.analysis.reporting import format_table
 from repro.dlt.multijob import flow_time_by_order, schedule_jobs, sjf_order
 from repro.dlt.platform import BusNetwork, NetworkKind

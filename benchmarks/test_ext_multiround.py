@@ -6,9 +6,6 @@ with diminishing returns, and the gain grows with the communication
 rate z (communication-bound instances benefit most).
 """
 
-import numpy as np
-import pytest
-
 from repro.analysis.reporting import format_table
 from repro.dlt.multiround import multiround_makespan, round_sweep
 from repro.dlt.platform import BusNetwork, NetworkKind

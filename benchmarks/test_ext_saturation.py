@@ -7,7 +7,6 @@ this curve is the quantitative motivation for the multiround and tree
 extensions benchmarked in E11.
 """
 
-import numpy as np
 import pytest
 
 from repro.analysis.reporting import format_table

@@ -8,7 +8,6 @@ Theorem 2.1).
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis.reporting import format_table
 from repro.dlt.closed_form import allocate

@@ -9,7 +9,6 @@ honest utility the deviant forgoes stays fixed).
 """
 
 import numpy as np
-import pytest
 
 from repro.agents.behaviors import AgentBehavior, Deviation
 from repro.analysis.reporting import format_table

@@ -7,7 +7,6 @@ regime boundary for NCP-NFE is reported explicitly (see DESIGN.md).
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis.reporting import format_table
 from repro.dlt.closed_form import allocate
@@ -16,7 +15,7 @@ from repro.dlt.optimality import (
     lp_optimal_allocation,
     simultaneous_finish_residual,
 )
-from repro.dlt.platform import BusNetwork, NetworkKind, random_network
+from repro.dlt.platform import BusNetwork, NetworkKind
 from repro.dlt.timing import makespan
 
 INSTANCES = 200

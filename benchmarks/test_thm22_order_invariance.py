@@ -6,7 +6,6 @@ A star-network contrast shows the invariance is a bus phenomenon.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis.reporting import format_table
 from repro.dlt.architectures import StarNetwork, star_best_order

@@ -7,7 +7,6 @@ costs corollary: Q_i >= C_i.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis.reporting import format_table
 from repro.core.dls_bl import DLSBL

@@ -7,8 +7,6 @@ phase dominates, byte volume scales ~m^2, and message count scales ~m:
 the quadratic comes from message *sizes*, exactly as the proof argues.
 """
 
-import pytest
-
 from repro.analysis.complexity import fit_loglog_slope, measure_communication
 from repro.analysis.reporting import format_table
 from repro.dlt.platform import NetworkKind

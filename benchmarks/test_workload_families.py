@@ -7,7 +7,6 @@ distribution used elsewhere in the harness.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis.reporting import format_table
 from repro.analysis.strategyproofness import agent_utility, best_response_bid_factor

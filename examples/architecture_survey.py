@@ -12,7 +12,6 @@ Run:  python examples/architecture_survey.py
 """
 
 import networkx as nx
-import numpy as np
 
 from repro import BusNetwork, NetworkKind, allocate, makespan
 from repro.analysis.reporting import format_table

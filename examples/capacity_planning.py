@@ -17,8 +17,6 @@ This example answers all three with the library's planning APIs.
 Run:  python examples/capacity_planning.py
 """
 
-import numpy as np
-
 from repro import BusNetwork, NetworkKind
 from repro.analysis.economics import user_cost_breakdown
 from repro.analysis.reporting import format_table

@@ -19,7 +19,6 @@ from repro import BusNetwork, NetworkKind
 from repro.analysis.reporting import format_table
 from repro.analysis.strategyproofness import (
     agent_utility,
-    best_response_bid_factor,
     utility_surface,
 )
 

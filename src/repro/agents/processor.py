@@ -115,18 +115,20 @@ class ProcessorAgent:
         self._commit_nonce = nonce
         return commitment
 
-    def make_p2p_bid_messages(self, peers: list[str]) -> dict[str, tuple[SignedMessage, bytes]]:
+    def make_p2p_bid_messages(
+        self, peers: list[str], primary: SignedMessage,
+    ) -> dict[str, tuple[SignedMessage, bytes]]:
         """Per-recipient signed bids (point-to-point networks).
 
-        Honest agents send everyone the same message.  SPLIT_BIDS sends
-        the chosen victim a different signed bid — the equivocation
-        atomic broadcast physically rules out.  The commitment nonce
+        *primary* is this agent's signed primary bid, the object its own
+        archive holds.  Honest agents send everyone that message.
+        SPLIT_BIDS sends the chosen victim a different signed bid — the
+        equivocation atomic broadcast physically rules out.  The commitment nonce
         (if one was made) accompanies every copy; the split copy cannot
         match the published commitment, which is how footnote-1
         commitments catch the attack.
         """
         nonce = getattr(self, "_commit_nonce", b"")
-        primary = self.key.sign({"processor": self.name, "bid": self.bid})
         out = {peer: (primary, nonce) for peer in peers if peer != self.name}
         if Deviation.SPLIT_BIDS in self.behavior.deviations:
             params = self.behavior.deviation_params

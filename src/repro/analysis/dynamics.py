@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.payments import bonus
-from repro.dlt.closed_form import allocate
 from repro.dlt.platform import BusNetwork
 
 __all__ = ["DynamicsTrace", "best_response_bid", "best_response_dynamics"]

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.payments import bonus
-from repro.dlt.closed_form import allocate
 from repro.dlt.platform import BusNetwork
 from repro.sweep import RunOptions, SweepPlan, run_plan
 

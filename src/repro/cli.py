@@ -41,7 +41,7 @@ import sys
 
 import numpy as np
 
-from repro.api import ApiError, EngagementRequest, SweepRequest
+from repro.api import EngagementRequest, SweepRequest
 from repro.api.analysis import format_table, kind_comparison
 from repro.core.dls_bl import DLSBL
 from repro.dlt.closed_form import allocate

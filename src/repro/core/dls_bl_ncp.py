@@ -17,6 +17,7 @@ two calling conventions are value-identical.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, fields, replace
 
@@ -152,7 +153,10 @@ class DLSBLNCP:
         m = len(w_true)
         if m < 2:
             raise ValueError("DLS-BL-NCP requires at least 2 processors")
-        names = config.names or [f"P{i + 1}" for i in range(m)]
+        # Default names are interned: an outcome keys many maps by
+        # name, and a caller that keeps outcomes then holds one copy
+        # of each name rather than one per engagement.
+        names = config.names or [sys.intern(f"P{i + 1}") for i in range(m)]
         behaviors = config.behaviors
         if isinstance(behaviors, dict):
             table = [behaviors.get(i, truthful()) for i in range(m)]

@@ -55,7 +55,7 @@ def _validate(network: BusNetwork, vec, name: str) -> np.ndarray:
     arr = np.asarray(vec, dtype=float)
     if arr.shape != (network.m,):
         raise ValueError(f"{name} must have shape ({network.m},), got {arr.shape}")
-    if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
+    if (arr <= 0).any() or not np.isfinite(arr).all():
         raise ValueError(f"{name} must be positive and finite, got {arr}")
     return arr
 
@@ -138,15 +138,20 @@ def bonus_vector(network_bids: BusNetwork, w_exec) -> np.ndarray:
     per-agent :func:`bonus` is kept as the reference implementation and
     cross-checked by property tests.
     """
-    from repro.core.fast_exclusion import all_excluded_optimal_makespans
-    from repro.dlt.timing import communication_finish_times, finish_times
-
     w_exec = _validate(network_bids, w_exec, "w_exec")
-    alpha = allocate(network_bids)
-    excl = all_excluded_optimal_makespans(network_bids)
+    return _bonus_vector(network_bids, w_exec, allocate(network_bids))
 
-    T_base = finish_times(alpha, network_bids)
+
+def _bonus_vector(network_bids: BusNetwork, w_exec: np.ndarray,
+                  alpha: np.ndarray) -> np.ndarray:
+    """:func:`bonus_vector` for a validated *w_exec* and ``alpha(b)``."""
+    from repro.core.fast_exclusion import all_excluded_optimal_makespans
+    from repro.dlt.timing import communication_finish_times
+
+    excl = all_excluded_optimal_makespans(network_bids)
     ready = communication_finish_times(alpha, network_bids)
+    # finish_times(alpha, network_bids), without a second prefix pass
+    T_base = ready + alpha * network_bids.w_array
     T_sub = ready + alpha * w_exec  # T_i with w~_i substituted
     m = network_bids.m
     # max of T_base excluding index i, via prefix/suffix running maxima
@@ -162,10 +167,14 @@ def bonus_vector(network_bids: BusNetwork, w_exec) -> np.ndarray:
 
 
 def payments(network_bids: BusNetwork, w_exec) -> np.ndarray:
-    """``Q_i = C_i + B_i`` for every worker (Eq. 12)."""
+    """``Q_i = C_i + B_i`` for every worker (Eq. 12).
+
+    Validates *w_exec* and solves ``alpha(b)`` once for both terms.
+    """
     w_exec = _validate(network_bids, w_exec, "w_exec")
     alpha = allocate(network_bids)
-    return compensation(alpha, w_exec) + bonus_vector(network_bids, w_exec)
+    return (compensation(alpha, w_exec)
+            + _bonus_vector(network_bids, w_exec, alpha))
 
 
 def utilities(network_bids: BusNetwork, w_exec) -> np.ndarray:

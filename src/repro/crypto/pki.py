@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any
 
 from repro.crypto.signatures import SignedMessage, SigningKey
 from repro.perf.cache import CacheStats

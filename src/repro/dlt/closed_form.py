@@ -82,7 +82,7 @@ def _normalized(weights: np.ndarray) -> np.ndarray:
     in a numerically robust way (no separate ``alpha_1`` formula that
     could disagree with the chain products in the last ulp).
     """
-    total = float(np.sum(weights))
+    total = float(weights.sum())
     if not np.isfinite(total) or total <= 0.0:
         raise ArithmeticError(
             f"degenerate chain weights (sum={total}); instance too extreme for float64")
@@ -116,7 +116,7 @@ def _ncp_fe_core(w: np.ndarray, z: float) -> np.ndarray:
     """Algorithm 2.1 body, inputs pre-validated (see :func:`allocate`)."""
     k = chain_ratios(w, z)
     # weights = (1, k1, k1*k2, ..., prod_{j<m} k_j) = alpha_i / alpha_1
-    weights = np.concatenate(([1.0], np.cumprod(k)))
+    weights = np.concatenate(([1.0], k.cumprod()))
     return _normalized(weights)
 
 
@@ -154,7 +154,7 @@ def _ncp_nfe_core(w: np.ndarray, z: float) -> np.ndarray:
     # Ratios k_1 .. k_{m-2} chain P_1 .. P_{m-1}; the originator P_m is
     # attached through the z-free condition alpha_m = (w_{m-1}/w_m) alpha_{m-1}.
     k = chain_ratios(w[:-1], z)  # length m-2 (empty when m == 2)
-    head = np.concatenate(([1.0], np.cumprod(k)))  # alpha_1..alpha_{m-1} over alpha_1
+    head = np.concatenate(([1.0], k.cumprod()))  # alpha_1..alpha_{m-1} over alpha_1
     tail = head[-1] * (w[-2] / w[-1])              # alpha_m over alpha_1
     return _normalized(np.concatenate((head, [tail])))
 

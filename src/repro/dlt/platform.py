@@ -92,9 +92,9 @@ def validate_positive(values: Iterable[float], name: str) -> np.ndarray:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite, got {arr}")
-    if np.any(arr <= 0.0):
+    if (arr <= 0.0).any():
         raise ValueError(f"{name} must be strictly positive, got {arr}")
     return arr
 

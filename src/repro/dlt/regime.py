@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.dlt.closed_form import allocate
 from repro.dlt.optimality import lp_optimal_allocation
 from repro.dlt.platform import BusNetwork, NetworkKind

@@ -44,7 +44,7 @@ def _as_alpha(alpha, m: int) -> np.ndarray:
     arr = np.asarray(alpha, dtype=float)
     if arr.shape != (m,):
         raise ValueError(f"alpha must have shape ({m},), got {arr.shape}")
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
+    if (arr < 0.0).any() or not np.isfinite(arr).all():
         raise ValueError(f"alpha must be finite and non-negative, got {arr}")
     return arr
 
@@ -59,7 +59,7 @@ def communication_finish_times(alpha, network: BusNetwork) -> np.ndarray:
     """
     alpha = _as_alpha(alpha, network.m)
     z, kind, m = network.z, network.kind, network.m
-    prefix = z * np.cumsum(alpha)
+    prefix = z * alpha.cumsum()
     if kind is NetworkKind.CP:
         return prefix
     if kind is NetworkKind.NCP_FE:
@@ -89,7 +89,7 @@ def finish_times(alpha, network: BusNetwork, w_exec=None) -> np.ndarray:
     w = network.w_array if w_exec is None else np.asarray(w_exec, dtype=float)
     if w.shape != (network.m,):
         raise ValueError(f"w_exec must have shape ({network.m},), got {w.shape}")
-    if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
+    if (w <= 0.0).any() or not np.isfinite(w).all():
         raise ValueError(f"execution values must be positive and finite, got {w}")
     alpha = _as_alpha(alpha, network.m)
     return communication_finish_times(alpha, network) + alpha * w
@@ -97,7 +97,7 @@ def finish_times(alpha, network: BusNetwork, w_exec=None) -> np.ndarray:
 
 def makespan(alpha, network: BusNetwork, w_exec=None) -> float:
     """Total execution time ``T(alpha) = max_i T_i(alpha)``."""
-    return float(np.max(finish_times(alpha, network, w_exec)))
+    return float(finish_times(alpha, network, w_exec).max())
 
 
 def optimal_makespan(network: BusNetwork) -> float:

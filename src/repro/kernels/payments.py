@@ -69,10 +69,10 @@ def excluded_makespans_batch(W, z, kind: NetworkKind) -> np.ndarray:
     # Chain ratios and weights of the full (receiving) system; NCP-NFE
     # replaces the last weight with the z-free coupling (Eq. 9).
     k = W[:, :-1] / (zc + W[:, 1:])                   # (S, m-1)
-    u = _with_leading_ones(np.cumprod(k, axis=1))     # (S, m)
+    u = _with_leading_ones(k.cumprod(axis=1))         # (S, m)
     if kind is NetworkKind.NCP_NFE:
         u[:, m - 1] = u[:, m - 2] * W[:, m - 2] / W[:, m - 1]
-    P = np.cumsum(u, axis=1)                          # (S, m)
+    P = u.cumsum(axis=1)                              # (S, m)
     total = P[:, -1]                                  # (S,)
 
     # First-worker completion coefficient of the full system: a
@@ -121,9 +121,9 @@ def excluded_makespans_batch(W, z, kind: NetworkKind) -> np.ndarray:
         else:                                         # NCP-NFE, index m-1
             first = W[:, 0]
             k_cp = k[:, : m - 2]
-        u_cp = _with_leading_ones(np.cumprod(k_cp, axis=1))
+        u_cp = _with_leading_ones(k_cp.cumprod(axis=1))
         out[:, originator] = ((zc + first[:, None])[:, 0]
-                              / np.sum(u_cp, axis=1))
+                              / u_cp.sum(axis=1))
     return out
 
 

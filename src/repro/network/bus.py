@@ -56,7 +56,7 @@ or share it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.network.events import EventQueue
@@ -471,7 +471,10 @@ class EngagementBusView:
     def _tagged(self, msg: Message) -> Message:
         if msg.engagement == self.engagement:
             return msg
-        return replace(msg, engagement=self.engagement)
+        # Every message of a multiplexed engagement passes here: build
+        # the tagged copy directly, keeping the size it already carries.
+        return Message(msg.kind, msg.sender, msg.recipients, msg.body,
+                       msg.size_bytes, self.engagement)
 
     def attach(self, name: str, handler: Callable[[Message], None]) -> None:
         self._bus.attach(name, handler, engagement=self.engagement)

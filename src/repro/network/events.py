@@ -24,7 +24,7 @@ event benchmark had drifted.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 __all__ = ["Event", "EventQueue"]

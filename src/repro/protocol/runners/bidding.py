@@ -58,11 +58,12 @@ class BiddingRunner(PhaseRunner):
                     ))
             window = ctx.deadlines.window_for(Phase.BIDDING)
             for agent in participants:
-                # Archive the own primary bid (HMAC signing is
-                # deterministic, so this equals the honest wire copy).
-                agent.observe_bid(agent.key.sign(
-                    {"processor": agent.name, "bid": agent.bid}))
-                p2p = agent.make_p2p_bid_messages(active)
+                # Sign the own primary bid once: the agent archives the
+                # object its peers receive, verdict stamp included.
+                primary = agent.key.sign(
+                    {"processor": agent.name, "bid": agent.bid})
+                agent.observe_bid(primary)
+                p2p = agent.make_p2p_bid_messages(active, primary)
                 for peer, (sm, nonce) in p2p.items():
                     delivered = ctx.send_with_retry(Message(
                         MessageKind.BID, agent.name, (peer,),

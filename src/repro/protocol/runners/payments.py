@@ -55,7 +55,7 @@ class PaymentsRunner(PhaseRunner):
         # elementwise float division, bit-identical to the per-agent
         # derivation — instead of m times in Python.
         alpha = ctx.alpha
-        if np.all(alpha > 0):
+        if (alpha > 0).all():
             phi_arr = np.fromiter((ctx.phi[n] for n in active), dtype=float,
                                   count=len(active))
             shared_exec = phi_arr / alpha

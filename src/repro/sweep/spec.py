@@ -41,6 +41,9 @@ __all__ = [
 
 PLAN_FORMAT = "repro/sweep-plan/v1"
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                              allow_nan=False)
+
 
 def canonical_json(obj: Any) -> str:
     """One canonical byte encoding per value: sorted keys, no whitespace.
@@ -48,10 +51,10 @@ def canonical_json(obj: Any) -> str:
     ``repr``-exact floats (json uses ``float.__repr__``) make the
     encoding — and therefore every digest built on it — reproducible
     across processes and worker counts.  NaN/Infinity are rejected:
-    they do not round-trip through strict JSON parsers.
+    they do not round-trip through strict JSON parsers.  The encoder is
+    built once: ``json.dumps`` with these arguments builds one per call.
     """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False)
+    return _CANONICAL.encode(obj)
 
 
 class StreamDigest:

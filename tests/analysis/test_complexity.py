@@ -7,7 +7,6 @@ from repro.analysis.complexity import (
     fit_loglog_slope,
     measure_communication,
 )
-from repro.dlt.platform import NetworkKind
 
 
 class TestFitLoglogSlope:

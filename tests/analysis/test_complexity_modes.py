@@ -1,9 +1,6 @@
 """Traffic measurement across bidding transports."""
 
-import pytest
-
 from repro.analysis.complexity import fit_loglog_slope, measure_communication
-from repro.dlt.platform import NetworkKind
 
 
 class TestBiddingModeTraffic:

@@ -1,16 +1,13 @@
 """Tests for the price-of-truthfulness analysis."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.economics import (
-    CostBreakdown,
     overpayment_ratio,
     overpayment_sweep,
     user_cost_breakdown,
 )
 from repro.core.dls_bl import DLSBL
-from repro.dlt.platform import NetworkKind
 
 W = [2.0, 3.0, 5.0, 4.0]
 

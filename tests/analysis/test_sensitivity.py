@@ -1,6 +1,5 @@
 """Tests for sensitivity / conditioning analysis."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 

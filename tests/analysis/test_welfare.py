@@ -1,8 +1,5 @@
 """Tests for welfare metrics and cross-system comparison."""
 
-import numpy as np
-import pytest
-
 from repro.analysis.welfare import kind_comparison, truthful_profile
 from repro.dlt.platform import NetworkKind
 

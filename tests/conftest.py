@@ -120,6 +120,24 @@ def z_values():
                      allow_infinity=False)
 
 
+def json_values():
+    """Nested JSON values: dicts, lists, ints, finite floats and strings.
+
+    The floats include values whose shortest ``repr`` is easy to get
+    wrong (``1/3``, ``1e-05``, ``-0.0``).
+    """
+    floats = (st.floats(allow_nan=False, allow_infinity=False)
+              | st.sampled_from([1 / 3, 1e-05, -0.0]))
+    scalars = (st.none() | st.booleans() | st.integers() | floats
+               | st.text(max_size=8))
+    return st.recursive(
+        scalars,
+        lambda inner: (st.lists(inner, max_size=4)
+                       | st.dictionaries(st.text(max_size=6), inner,
+                                         max_size=4)),
+        max_leaves=16)
+
+
 def network_strategy(kinds=tuple(NetworkKind), min_m: int = 1, max_m: int = 10):
     """Random BusNetwork instances across kinds and sizes."""
     return st.builds(

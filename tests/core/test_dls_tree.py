@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from repro.core.dls_tree import (
     DLSTree,
-    tree_bonus,
     tree_excluded_makespan,
     tree_with_bids,
 )
-from repro.dlt.architectures import allocate_tree, collapse_tree, tree_finish_times
+from repro.dlt.architectures import collapse_tree
 
 
 def simple_tree(zs=(0.3, 0.2, 0.4)):

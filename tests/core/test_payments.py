@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.payments import (
     bonus,

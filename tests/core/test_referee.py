@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.fines import FinePolicy
 from repro.core.payments import payments as compute_payments
-from repro.core.referee import Fine, Referee, RefereeVerdict
+from repro.core.referee import Fine, Referee
 from repro.crypto.blocks import divide_load, quantize_blocks
 from repro.crypto.pki import PKI
 from repro.dlt.closed_form import allocate

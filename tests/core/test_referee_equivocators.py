@@ -5,7 +5,7 @@ import pytest
 from repro.core.fines import FinePolicy
 from repro.core.referee import Referee
 from repro.crypto.pki import PKI
-from repro.crypto.signatures import SignedMessage, SigningKey
+from repro.crypto.signatures import SigningKey
 
 
 @pytest.fixture

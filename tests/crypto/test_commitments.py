@@ -1,10 +1,9 @@
 """Tests for hash commitments (paper footnote 1)."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.commitments import Commitment, commit, verify_commitment
+from repro.crypto.commitments import commit, verify_commitment
 
 
 class TestCommitVerify:

@@ -1,10 +1,21 @@
 """Tests for the simulated digital-signature layer."""
 
+import hashlib
+import hmac
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.signatures import SignedMessage, SigningKey, canonical_bytes
+from tests.conftest import json_values
+
+
+def _circular():
+    loop = []
+    loop.append(loop)
+    return loop
 
 
 class TestCanonicalBytes:
@@ -24,6 +35,23 @@ class TestCanonicalBytes:
     @settings(max_examples=50, deadline=None)
     def test_deterministic(self, payload):
         assert canonical_bytes(payload) == canonical_bytes(dict(payload))
+
+    @given(json_values())
+    @settings(max_examples=300)
+    def test_equals_json_dumps(self, value):
+        # The encoder built once at import writes what json.dumps wrote.
+        assert canonical_bytes(value) == json.dumps(
+            value, sort_keys=True, separators=(",", ":")).encode()
+
+    def test_non_finite_floats_encode_as_json_dumps_does(self):
+        value = [float("nan"), float("inf"), -float("inf")]
+        assert canonical_bytes(value) == b"[NaN,Infinity,-Infinity]"
+
+    @pytest.mark.parametrize("bad", [object(), {1: "a", "b": 2}, _circular()],
+                             ids=["object", "mixed-keys", "circular"])
+    def test_every_encoding_error_is_a_type_error(self, bad):
+        with pytest.raises(TypeError, match="not canonically serializable"):
+            canonical_bytes(bad)
 
 
 class TestSigningKey:
@@ -65,3 +93,21 @@ class TestSigningKey:
         small = key.sign({"q": [1.0]})
         large = key.sign({"q": [1.0] * 100})
         assert 0 < small.size_bytes < large.size_bytes
+
+
+class TestOneCallHmac:
+    """sign, verify and commitment_nonce give the bytes of ``hmac.new``."""
+
+    SECRET = bytes(range(32))
+
+    @given(json_values())
+    @settings(max_examples=100)
+    def test_same_bytes_as_hmac_new(self, message):
+        key = SigningKey("P1", secret=self.SECRET)
+        canon = canonical_bytes(message)
+        mac = hmac.new(self.SECRET, canon, hashlib.sha256).digest()
+        assert key.sign(message).signature == mac
+        assert key.verify(SignedMessage("P1", message, mac))
+        assert not key.verify(SignedMessage("P1", message, mac[::-1]))
+        assert key.commitment_nonce(message) == hmac.new(
+            self.SECRET, b"commit-nonce|" + canon, hashlib.sha256).digest()[:16]

@@ -15,7 +15,6 @@ from repro.dlt.architectures import (
     linear_finish_times,
     star_best_order,
     star_finish_times,
-    star_makespan,
 )
 from repro.dlt.closed_form import allocate_cp
 from repro.dlt.platform import BusNetwork, NetworkKind

@@ -1,11 +1,9 @@
 """Tests for multi-job (queue) scheduling."""
 
-import numpy as np
 import pytest
 
 from repro.dlt.multijob import (
     EXHAUSTIVE_CAP,
-    JobSchedule,
     flow_time_by_order,
     local_search_order,
     schedule_jobs,

@@ -1,6 +1,5 @@
 """Tests for the multi-installment scheduling extension."""
 
-import numpy as np
 import pytest
 
 from repro.dlt.multiround import multiround_makespan, round_sweep

@@ -1,6 +1,5 @@
 """Tests for the regime diagnostics."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 

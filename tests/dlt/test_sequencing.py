@@ -8,7 +8,6 @@ repro.dlt.sequencing's module docstring.
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 
 from repro.dlt.closed_form import allocate

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.dlt.closed_form import allocate
 from repro.dlt.platform import BusNetwork, NetworkKind

@@ -9,7 +9,6 @@ hops) — if any of those semantics regress, this file is the tripwire.
 
 import networkx as nx
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +24,6 @@ from repro.dlt.architectures import (
     tree_finish_times,
 )
 from repro.dlt.closed_form import allocate
-from repro.dlt.platform import BusNetwork, NetworkKind
 from repro.dlt.timing import makespan
 from tests.conftest import regime_network_strategy
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.agents.behaviors import AgentBehavior, misreport, slow_execution, truthful
+from repro.agents.behaviors import AgentBehavior, misreport, slow_execution
 from repro.core.dls_bl import DLSBL
 from repro.core.dls_bl_ncp import DLSBLNCP
 from repro.dlt.platform import NetworkKind

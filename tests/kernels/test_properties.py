@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.kernels as K
-from repro.dlt.platform import BusNetwork, NetworkKind
+from repro.dlt.platform import BusNetwork
 from tests.conftest import regime_network_strategy
 
 

@@ -3,7 +3,7 @@ broadcast a bid and it receives a utility of 0' (Section 4, Bidding)."""
 
 import pytest
 
-from repro.agents.behaviors import abstaining, truthful
+from repro.agents.behaviors import abstaining
 from repro.core.dls_bl import DLSBL
 from repro.core.dls_bl_ncp import DLSBLNCP
 from repro.dlt.platform import NetworkKind

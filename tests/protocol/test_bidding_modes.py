@@ -56,6 +56,40 @@ class TestHonestEquivalence:
             DLSBLNCP(W, NetworkKind.NCP_FE, Z, bidding_mode="gossip")
 
 
+class TestSignsPerEngagement:
+    """An honest engagement signs one bid and one payment vector per
+    processor: the own point-to-point bid is signed once, and load
+    blocks are signed only when the referee reads them."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_honest_engagement_signs_two_messages_per_processor(
+            self, mode, monkeypatch):
+        from repro.crypto.signatures import SigningKey
+
+        signers = []
+        real_sign = SigningKey.sign
+
+        def counting_sign(key, message, **kwargs):
+            signers.append(key.name)
+            return real_sign(key, message, **kwargs)
+
+        monkeypatch.setattr(SigningKey, "sign", counting_sign)
+        out = run(mode)
+        assert out.completed
+        assert sorted(signers) == sorted(out.order * 2)
+
+    @pytest.mark.parametrize("mode", ["commit", "naive"])
+    def test_own_bid_reaches_peers_with_its_verdict_stamp(self, mode):
+        out = run(mode)
+        bidding = next(s for s in out.spans if s.phase == "BIDDING")
+        m = len(W)
+        # m distinct bids: one HMAC each, at the sender's own archive.
+        # Each of the m (m - 1) receptions checks the bid twice (on
+        # receipt and on archiving) and reads the stamp both times.
+        assert bidding.sig_cache_misses == m
+        assert bidding.sig_cache_hits == 2 * m * (m - 1)
+
+
 class TestSplitBidsUnderCommitments:
     def test_caught_in_bidding_phase(self, ncp_kind):
         out = run("commit", split_bids(), ncp_kind)

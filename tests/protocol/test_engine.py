@@ -1,6 +1,5 @@
 """Integration tests for the DLS-BL-NCP protocol engine."""
 
-import numpy as np
 import pytest
 
 from repro.agents.behaviors import AgentBehavior, Deviation, misreport, slow_execution, truthful

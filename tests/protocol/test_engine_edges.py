@@ -1,10 +1,9 @@
 """Protocol engine edge cases: granularity extremes, tiny markets,
 multiple simultaneous deviants, phase precedence."""
 
-import numpy as np
 import pytest
 
-from repro.agents.behaviors import AgentBehavior, Deviation, misreport
+from repro.agents.behaviors import AgentBehavior, Deviation
 from repro.core.dls_bl_ncp import DLSBLNCP
 from repro.dlt.platform import NetworkKind
 from repro.protocol.phases import Phase

@@ -1,11 +1,10 @@
 """Stateful property test: the ledger conserves money under any history."""
 
-import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.protocol.payment_infra import Ledger, PaymentInfrastructure
+from repro.protocol.payment_infra import PaymentInfrastructure
 
 NAMES = ["user", "P1", "P2", "P3", "escrow"]
 

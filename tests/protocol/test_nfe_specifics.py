@@ -6,8 +6,6 @@ its sends finish, and terminated-run compensation must reflect that it
 had not commenced work.
 """
 
-import pytest
-
 from repro.agents.behaviors import AgentBehavior, Deviation
 from repro.core.dls_bl_ncp import DLSBLNCP
 from repro.dlt.platform import NetworkKind

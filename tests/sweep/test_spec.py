@@ -1,8 +1,10 @@
 """Specs, plans, and the seed-derivation contract."""
 
+import json
 import math
 
 import pytest
+from hypothesis import given, settings
 
 from repro.sweep import (
     PLAN_FORMAT,
@@ -12,6 +14,13 @@ from repro.sweep import (
     derive_seed,
     digest_records,
 )
+from tests.conftest import json_values
+
+
+def _json_dumps(obj):
+    """canonical_json's specification: json.dumps with its arguments."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
 
 
 class TestCanonicalJson:
@@ -34,6 +43,20 @@ class TestCanonicalJson:
     def test_infinity_rejected(self):
         with pytest.raises(ValueError):
             canonical_json([math.inf])
+
+    @given(json_values())
+    @settings(max_examples=300)
+    def test_equals_json_dumps(self, value):
+        assert canonical_json(value) == _json_dumps(value)
+
+    @pytest.mark.parametrize("bad", [object(), {1: "a", "b": 2}, [math.nan],
+                                     {"x": -math.inf}],
+                             ids=["object", "mixed-keys", "nan", "infinity"])
+    def test_raises_what_json_dumps_raises(self, bad):
+        with pytest.raises(Exception) as expected:
+            _json_dumps(bad)
+        with pytest.raises(expected.type):
+            canonical_json(bad)
 
 
 class TestDigestRecords:

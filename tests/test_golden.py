@@ -6,7 +6,6 @@ changes semantics (rather than just implementation) fails loudly with
 numbers a human can re-derive on paper.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.dls_bl import DLSBL

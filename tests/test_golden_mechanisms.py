@@ -6,7 +6,6 @@ to numbers a reviewer can recompute on paper.
 """
 
 import networkx as nx
-import numpy as np
 import pytest
 
 from repro.core.dls_chain import DLSChain, chain_excluded_makespan

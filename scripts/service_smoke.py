@@ -16,7 +16,10 @@ Passes, all fast enough for the PR lane:
    counters and phase spans included — to a direct ``execute()``.
 4. **Out-of-process** (``repro serve`` + ``repro call``): the real CLI
    daemon on a real unix socket answers ``ping``, executes a request
-   file, reports ``stats``, and exits cleanly on ``shutdown``.
+   file, reports ``stats``, and exits cleanly on ``shutdown``.  Its
+   process layout is read from ``/proc/<pid>/maps``: the daemon, which
+   only speaks the wire, must not map numpy's compiled core, and its
+   worker, which loads the engine before its first job, must.
 5. **Hostile lines** (``repro serve`` + raw socket): an engagement
    line with ``"deviants": null`` and one with an over-limit
    ``num_blocks`` each come back as an ``invalid-request`` frame naming
@@ -222,6 +225,28 @@ def call(sock: str, *argv: str) -> dict:
     return json.loads(proc.stdout)
 
 
+def maps_numpy(pid: int) -> bool:
+    """Does process *pid* map numpy's compiled core?"""
+    with open(f"/proc/{pid}/maps", encoding="utf-8") as fh:
+        return "_multiarray_umath" in fh.read()
+
+
+def children(pid: int) -> list[int]:
+    """The live child processes of *pid*."""
+    kids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as fh:
+                ppid = int(fh.read().rsplit(")", 1)[1].split()[1])
+        except (OSError, ValueError, IndexError):
+            continue
+        if ppid == pid:
+            kids.append(int(entry))
+    return kids
+
+
 def cli_pass() -> None:
     with tempfile.TemporaryDirectory(prefix="repro-smoke-") as tmp:
         sock = os.path.join(tmp, "repro.sock")
@@ -232,16 +257,25 @@ def cli_pass() -> None:
 
         with serve(sock) as daemon:
             assert call(sock, "--op", "ping")["result"]["pong"] is True
+            workers = children(daemon.pid)
+            assert len(workers) == 1, f"expected one worker, got {workers}"
+            assert not maps_numpy(daemon.pid), (
+                "the daemon loaded numpy: it should only speak the wire")
+            assert maps_numpy(workers[0]), (
+                "the worker has not loaded the engine before its first job")
             response = call(sock, "--request", request_file)
             direct = execute(EngagementRequest(w=tuple(W), z=Z,
                                                num_blocks=60))
             assert response["result"]["digest_value"] == direct.digest(), (
                 "CLI-served digest diverged from the direct call")
             assert call(sock, "--op", "stats")["result"]["completed"] == 1
+            assert not maps_numpy(daemon.pid), (
+                "serving a request loaded numpy into the daemon")
             shutdown = call(sock, "--op", "shutdown")["result"]
             assert shutdown["draining"] is True
             assert daemon.wait(timeout=30) == 0, "daemon exit was unclean"
-    print("cli pass ok: serve/call round-trip, clean drain on shutdown")
+    print("cli pass ok: serve/call round-trip, clean drain on shutdown; "
+          "the daemon maps no numpy, its worker does")
 
 
 def hostile_pass() -> None:

@@ -29,24 +29,18 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every figure and theorem.
 """
 
-from repro.api import (
-    ApiError,
-    BenchRequest,
-    EngagementRequest,
-    EngineConfig,
-    RunOptions,
-    SweepRequest,
-    execute,
-)
-from repro.core import (
-    DLSBL,
-    DLSBLNCP,
-    FinePolicy,
-    MechanismResult,
-    NCPOutcome,
-    Referee,
-)
-from repro.dlt import BusNetwork, NetworkKind, allocate, finish_times, makespan
+from repro._lazy import attach
+
+# Resolved on first use: a process that only speaks the wire never
+# loads the engine (see DESIGN.md §4.9).
+__getattr__, __dir__ = attach(__name__, {
+    "repro.api": ("ApiError", "BenchRequest", "EngagementRequest",
+                  "EngineConfig", "RunOptions", "SweepRequest", "execute"),
+    "repro.core": ("DLSBL", "DLSBLNCP", "FinePolicy", "MechanismResult",
+                   "NCPOutcome", "Referee"),
+    "repro.dlt": ("BusNetwork", "NetworkKind", "allocate", "finish_times",
+                  "makespan"),
+})
 
 __version__ = "1.1.0"
 

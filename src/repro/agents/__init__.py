@@ -15,20 +15,18 @@ fink to the referee) that the incentive structure makes individually
 rational.
 """
 
-from repro.agents.behaviors import (
-    REFEREE_EQUIVOCATE,
-    REFEREE_FINE_STEAL,
-    REFEREE_SILENT,
-    REFEREE_STRATEGIES,
-    AgentBehavior,
-    Deviation,
-    abstaining,
-    byzantine_referee,
-    misreport,
-    slow_execution,
-    truthful,
-)
-from repro.agents.processor import ProcessorAgent
+from repro._lazy import attach
+
+# Resolved on first use: the wire layer checks deviation and referee
+# strategy names against repro.agents.behaviors without loading the
+# agent that plays them.
+__getattr__, __dir__ = attach(__name__, {
+    "repro.agents.behaviors": (
+        "REFEREE_EQUIVOCATE", "REFEREE_FINE_STEAL", "REFEREE_SILENT",
+        "REFEREE_STRATEGIES", "AgentBehavior", "Deviation", "abstaining",
+        "byzantine_referee", "misreport", "slow_execution", "truthful"),
+    "repro.agents.processor": ("ProcessorAgent",),
+})
 
 __all__ = [
     "AgentBehavior",

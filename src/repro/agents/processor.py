@@ -151,9 +151,7 @@ class ProcessorAgent:
         is still recorded — the protocol needs the value on file for
         the referee's cross-checks.
         """
-        if not self.pki.verify(sm):
-            return
-        if not isinstance(sm.payload, dict) or sm.payload.get("processor") != sm.signer:
+        if not self.observe_bid(sm):
             return
         if bulletin is not None and sm.signer in bulletin:
             from repro.crypto.commitments import verify_commitment
@@ -162,7 +160,6 @@ class ProcessorAgent:
                 violations = getattr(self, "_commitment_violations", {})
                 violations.setdefault(sm.signer, (sm, nonce))
                 self._commitment_violations = violations
-        self.observe_bid(sm)
 
     def detect_commitment_violations(self) -> list[tuple[str, tuple[SignedMessage, bytes]]]:
         """Commitment mismatches this agent witnessed first-hand."""
@@ -173,9 +170,9 @@ class ProcessorAgent:
                 for accused, evidence in sorted(violations.items())
                 if accused != self.name]
 
-    def observe_bid(self, sm: SignedMessage) -> None:
+    def observe_bid(self, sm: SignedMessage) -> bool:
         """Archive a bid received first-hand if authentic; silently
-        discard otherwise.
+        discard otherwise.  True iff archived.
 
         "If the message fails verification, it is discarded."  Distinct
         authentic payloads from one signer are all kept — they are the
@@ -183,11 +180,12 @@ class ProcessorAgent:
         the agent reads them off the engagement's :class:`BidBoard`.
         """
         if not self.pki.verify(sm):
-            return
+            return False
         payload = sm.payload
         if not isinstance(payload, dict) or payload.get("processor") != sm.signer:
-            return
+            return False
         self._own.setdefault(sm.signer, []).append((self._board.position, sm))
+        return True
 
     def listen(self, board: BidBoard) -> None:
         """Hear the engagement's broadcast bids through *board*."""

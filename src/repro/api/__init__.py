@@ -5,7 +5,9 @@ request/result dataclasses with strict validation and canonical JSON
 round-trips (:mod:`repro.api.v1`), the executors that run them
 (:mod:`repro.api.execute`), and the engine/runner option objects
 (:class:`EngineConfig`, :class:`RunOptions`) re-exported so callers
-never import engine internals.  The CLI and the request service
+never import engine internals; those two resolve on first use, so a
+process that only parses, validates and digests requests never loads
+the engine.  The CLI and the request service
 (:mod:`repro.service`) are both thin clients of this façade; by the
 architecture lint, this package never imports the service (the
 dependency points one way: service → api).
@@ -57,8 +59,15 @@ from repro.api.v1 import (
     result_from_dict,
     settlement_digest,
 )
-from repro.core.dls_bl_ncp import EngineConfig
-from repro.sweep import RunOptions
+from repro._lazy import attach
+
+# The option objects live with the engine; they load on first use, so
+# parsing and digesting never import it.  ``execute`` above stays
+# eager: bound lazily, the submodule of the same name would shadow it.
+__getattr__, __dir__ = attach(__name__, {
+    "repro.core.dls_bl_ncp": ("EngineConfig",),
+    "repro.sweep.runner": ("RunOptions",),
+})
 
 __all__ = [
     "SCHEMA",

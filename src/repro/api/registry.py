@@ -8,8 +8,11 @@ the serving stack needs to know about it:
 
 * its dataclass (``cls.TYPE`` is the wire discriminator — the ``type``
   tag of the v1 envelope);
-* its executor (a callable ``(request) -> result``), attached lazily
-  by :mod:`repro.api.execute` so parsing never drags engine layers in;
+* its executor (a callable ``(request) -> result``), attached by
+  :mod:`repro.api.execute`.  That module imports only this registry and
+  :mod:`repro.api.v1`; each executor imports the engine layers it runs
+  on when first called, so a process that only parses, validates and
+  digests requests never loads the engine;
 * whether the daemon may cache its results by request digest
   (``cacheable`` — false only for measurements like ``bench``, whose
   answers are wall-clock samples, not values).
@@ -73,10 +76,10 @@ def register_request(cls: type, executor: Callable | None = None, *,
     """Register (or complete) a request kind under ``cls.TYPE``.
 
     Called twice per kind by design: :mod:`repro.api.v1` registers the
-    dataclass at import (parsing works without any engine import), and
-    :mod:`repro.api.execute` attaches the executor when *it* is
-    imported.  Re-registering merges — ``None`` arguments keep whatever
-    is already recorded.  Registering a *different* class under an
+    dataclass, and :mod:`repro.api.execute` attaches the executor; the
+    ``repro.api`` package imports both, so every importer finds the
+    built-in kinds complete.  Re-registering merges — ``None``
+    arguments keep whatever is already recorded.  Registering a *different* class under an
     existing discriminator is always an error: silently replacing a
     kind would let two processes disagree about what a digest means.
     """
@@ -143,26 +146,17 @@ def parse_result(data: Mapping[str, Any]):
 
 
 def executor_for(request) -> Callable:
-    """The registered executor for a request instance.
-
-    Importing :mod:`repro.api.execute` is what attaches executors; do
-    it lazily here so a process that only ever *parses* (a dispatcher,
-    a validator) never pays for engine imports — but a process that
-    executes always finds the registry complete.
-    """
+    """The registered executor for a request instance."""
     entry = _ENTRIES.get(getattr(type(request), "TYPE", ""))
     if entry is None or entry.cls is not type(request):
         raise _api_error(
             f"cannot execute a {type(request).__name__}; registered "
             f"request types: {sorted(REQUEST_CLASSES)}")
     if entry.executor is None:
-        import repro.api.execute  # noqa: F401 — registers executors
-
-        if entry.executor is None:
-            raise _api_error(
-                f"request type {entry.cls.TYPE!r} has no executor "
-                "registered (register_request(cls, executor) was never "
-                "called for it)")
+        raise _api_error(
+            f"request type {entry.cls.TYPE!r} has no executor "
+            "registered (register_request(cls, executor) was never "
+            "called for it)")
     return entry.executor
 
 

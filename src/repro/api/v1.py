@@ -41,7 +41,9 @@ import numbers
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
+from repro.agents.behaviors import REFEREE_STRATEGIES, Deviation
 from repro.api import registry as _registry
+from repro.crypto.certificates import tolerated_faults
 from repro.sweep.spec import PLAN_FORMAT, SweepPlan, canonical_json
 
 __all__ = [
@@ -230,8 +232,6 @@ def _check_engagement_kind(name: str, value) -> str:
 
 
 def _check_deviation(name: str, value) -> str:
-    from repro.agents.behaviors import Deviation
-
     try:
         return Deviation(value).value
     except ValueError:
@@ -240,11 +240,9 @@ def _check_deviation(name: str, value) -> str:
 
 
 def _check_strategy(name: str, value) -> str:
-    from repro.core.quorum import BYZANTINE_STRATEGIES
-
-    if value not in BYZANTINE_STRATEGIES:
+    if value not in REFEREE_STRATEGIES:
         _fail(f"unknown referee strategy {value!r}; "
-              f"choose from {list(BYZANTINE_STRATEGIES)}")
+              f"choose from {list(REFEREE_STRATEGIES)}")
     return value
 
 
@@ -427,8 +425,6 @@ class EngagementRequest(_Payload):
         seats = [s for s, _ in self.byzantine]
         if len(set(seats)) != len(seats):
             _fail(f"byzantine seats must be distinct; got {seats}")
-        from repro.core.quorum import tolerated_faults
-
         limit = tolerated_faults(self.committee)
         if len(seats) > limit:
             _fail(f"a {self.committee}-member committee tolerates at most "
@@ -438,7 +434,7 @@ class EngagementRequest(_Payload):
     def engine_config(self):
         """The :class:`repro.core.dls_bl_ncp.EngineConfig` this request
         describes."""
-        from repro.agents.behaviors import AgentBehavior, Deviation
+        from repro.agents.behaviors import AgentBehavior
         from repro.core.dls_bl_ncp import EngineConfig
         from repro.core.fines import FinePolicy
         from repro.network.faults import CrashFault, FaultPlan, MessageFault
@@ -937,8 +933,8 @@ class FleetStatsResult(_Payload):
 #
 # Parsing dispatch lives in :mod:`repro.api.registry`; importing this
 # module registers every v1 value type.  Executors are attached by
-# :mod:`repro.api.execute` when it is imported — two-phase by design,
-# so parsing a payload never drags the engine layers in.
+# :mod:`repro.api.execute`, whose executors import the engine layers
+# when first called, so parsing a payload never loads the engine.
 
 for _request_cls in (EngagementRequest, MultiEngagementRequest,
                      SweepRequest, MarketRequest):

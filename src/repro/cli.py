@@ -39,19 +39,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from repro.api import EngagementRequest, SweepRequest
-from repro.api.analysis import format_table, kind_comparison
-from repro.core.dls_bl import DLSBL
-from repro.dlt.closed_form import allocate
-from repro.dlt.platform import BusNetwork, NetworkKind
-from repro.dlt.schedule import build_schedule, render_gantt
-from repro.dlt.timing import finish_times
 
 __all__ = ["main", "build_parser"]
 
-_KINDS = {k.value: k for k in NetworkKind}
+#: The ``--kind`` names, the values of :class:`repro.dlt.NetworkKind`
+#: (pinned equal by a test).  Kept as strings so that building the
+#: parser, and every subcommand that only speaks the wire, never loads
+#: the engine: the engine is imported by the subcommands that compute.
+_KINDS = ("cp", "ncp-fe", "ncp-nfe")
 
 
 def _package_version() -> str:
@@ -65,12 +61,18 @@ def _package_version() -> str:
         return __version__
 
 
-def _kind(value: str) -> NetworkKind:
-    try:
-        return _KINDS[value]
-    except KeyError:
+def _kind(value: str):
+    """A ``--kind`` name as a :class:`repro.dlt.NetworkKind`.
+
+    argparse applies this to string defaults too, so the engine loads
+    only in a subcommand that takes ``--kind``.
+    """
+    if value not in _KINDS:
         raise argparse.ArgumentTypeError(
             f"unknown kind {value!r}; choose from {sorted(_KINDS)}")
+    from repro.dlt.platform import NetworkKind
+
+    return NetworkKind(value)
 
 
 def _deviation(value: str) -> tuple[int, str]:
@@ -123,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, with_kind=True):
         if with_kind:
-            p.add_argument("--kind", type=_kind, default=NetworkKind.NCP_FE,
+            p.add_argument("--kind", type=_kind, default="ncp-fe",
                            help=f"system model: {sorted(_KINDS)} "
                                 "(default ncp-fe)")
         p.add_argument("--z", type=float, required=True,
@@ -139,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=72)
 
     p = sub.add_parser("mechanism", help="one DLS-BL payment round")
-    p.add_argument("--kind", type=_kind, default=NetworkKind.CP)
+    p.add_argument("--kind", type=_kind, default="cp")
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--bids", type=float, nargs="+", required=True)
     p.add_argument("--exec", type=float, nargs="+", dest="exec_values",
@@ -174,6 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "probability (default 0: reliable transport)")
     p.add_argument("--seed", type=int, default=None,
                    help="fault-plan seed for --drop-rate (default 0)")
+    p.add_argument("--pki-seed", type=int, default=None, metavar="N",
+                   help="derive every key and commitment nonce from N, so "
+                        "a --trace transcript repeats byte for byte "
+                        "(default: fresh OS entropy per run)")
     p.add_argument("--committee", type=int, default=0, metavar="N",
                    help="adjudicate with an N-member referee committee "
                         "instead of the single trusted referee "
@@ -247,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sc", type=float, default=0.0, help="comm startup")
     p.add_argument("--sp", type=float, default=0.0, help="compute startup")
     p.add_argument("--load", type=float, default=1.0)
-    p.add_argument("--kind", type=_kind, default=NetworkKind.CP)
+    p.add_argument("--kind", type=_kind, default="cp")
     p.add_argument("w", type=float, nargs="+")
 
     p = sub.add_parser("regime", help="diagnose the DLT regime for an instance")
@@ -443,6 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_allocate(args) -> int:
+    from repro.api.analysis import format_table
+    from repro.dlt.closed_form import allocate
+    from repro.dlt.platform import BusNetwork
+    from repro.dlt.timing import finish_times
+
     net = BusNetwork(tuple(args.w), args.z, args.kind)
     alpha = allocate(net)
     T = finish_times(alpha, net)
@@ -455,6 +466,10 @@ def cmd_allocate(args) -> int:
 
 
 def cmd_schedule(args) -> int:
+    from repro.dlt.closed_form import allocate
+    from repro.dlt.platform import BusNetwork
+    from repro.dlt.schedule import build_schedule, render_gantt
+
     net = BusNetwork(tuple(args.w), args.z, args.kind)
     sched = build_schedule(allocate(net), net)
     print(render_gantt(sched, width=args.width))
@@ -462,6 +477,9 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_mechanism(args) -> int:
+    from repro.api.analysis import format_table
+    from repro.core.dls_bl import DLSBL
+
     exec_values = args.exec_values or args.bids
     if len(exec_values) != len(args.bids):
         print("error: --exec must match --bids in length", file=sys.stderr)
@@ -479,6 +497,7 @@ def cmd_mechanism(args) -> int:
 
 def cmd_protocol(args) -> int:
     from repro.api import build_mechanism
+    from repro.api.analysis import format_table
 
     # The façade owns validation: any bad combination (CP kind, unknown
     # deviation, out-of-range index) raises ApiError with the actionable
@@ -487,7 +506,7 @@ def cmd_protocol(args) -> int:
         w=tuple(args.w), z=args.z, kind=args.kind.value,
         bidding_mode=args.bidding_mode, fine_factor=args.fine_factor,
         deviants=tuple(args.deviant), crash=tuple(args.crash),
-        drop_rate=args.drop_rate, seed=args.seed,
+        drop_rate=args.drop_rate, seed=args.seed, pki_seed=args.pki_seed,
         committee=args.committee,
         byzantine=tuple((seat, args.byzantine_mode)
                         for seat in range(args.byzantine)))
@@ -551,6 +570,7 @@ def cmd_contend(args) -> int:
         serial_reference,
         settlement_digest,
     )
+    from repro.api.analysis import format_table
 
     if args.engagements < 1:
         raise ValueError(f"--engagements must be >= 1, got {args.engagements}")
@@ -598,11 +618,11 @@ def cmd_contend(args) -> int:
 
 
 def cmd_resilience(args) -> int:
-    if args.kind is NetworkKind.CP:
+    if args.kind.value == "cp":
         print("error: resilience sweeps run the NCP protocol "
               "(ncp-fe / ncp-nfe)", file=sys.stderr)
         return 2
-    from repro.api.analysis import crash_sweep, drop_sweep
+    from repro.api.analysis import crash_sweep, drop_sweep, format_table
 
     workers = max(1, args.workers)
     print(f"sweep workers: {workers}"
@@ -641,6 +661,8 @@ def cmd_resilience(args) -> int:
 
 
 def cmd_survey(args) -> int:
+    from repro.api.analysis import format_table, kind_comparison
+
     kc = kind_comparison(args.w, args.z)
     print(format_table(
         ("kind", "optimal makespan", "truthful user cost"),
@@ -650,6 +672,8 @@ def cmd_survey(args) -> int:
 
 
 def _print_mechanism_result(result, title: str) -> None:
+    from repro.api.analysis import format_table
+
     print(format_table(
         ("processor", "alpha_i", "C_i", "B_i", "Q_i", "U_i"),
         [(f"P{i+1}", result.alpha[i], result.compensations[i],
@@ -686,6 +710,7 @@ def cmd_chain(args) -> int:
 
 
 def cmd_affine(args) -> int:
+    from repro.api.analysis import format_table
     from repro.dlt.affine import AffineBus, optimal_cohort
 
     bus = AffineBus(tuple(args.w), args.z, s_c=args.sc, s_p=args.sp,
@@ -700,6 +725,8 @@ def cmd_affine(args) -> int:
 
 
 def cmd_regime(args) -> int:
+    from repro.api.analysis import format_table
+    from repro.dlt.platform import BusNetwork
     from repro.dlt.regime import diagnose
 
     net = BusNetwork(tuple(args.w), args.z, args.kind)
@@ -760,6 +787,8 @@ def _parse_grid_axis(value: str) -> tuple[str, list]:
         if count < 1:
             raise argparse.ArgumentTypeError(
                 f"axis {key!r} needs COUNT >= 1; got {count}")
+        import numpy as np
+
         return key, [float(v) for v in np.linspace(start, stop, count)]
     return key, [_parse_value(v) for v in spec.split(",")]
 
@@ -1035,6 +1064,7 @@ def cmd_market(args) -> int:
     from repro.api.analysis import (
         extinction_curve,
         fine_frequency,
+        format_table,
         market_table,
         reputation_trajectories,
         welfare_drift,

@@ -17,27 +17,27 @@
   exclusion semantics and canonical (ungameable) service orders.
 """
 
-from repro.core.payments import (
-    bonus,
-    bonus_vector,
-    compensation,
-    excluded_optimal_makespan,
-    payments,
-    utilities,
-)
-from repro.core.dls_bl import DLSBL, MechanismResult
-from repro.core.dls_star import DLSStar, star_payments, star_utilities
-from repro.core.dls_chain import DLSChain, chain_payments, chain_utilities
-from repro.core.dls_tree import DLSTree, tree_bonus, tree_excluded_makespan
-from repro.core.fines import FinePolicy
-from repro.core.referee import EvidenceCase, Referee, RefereeVerdict, Fine
-from repro.core.quorum import (
-    CommitteeConfig,
-    QuorumError,
-    RefereeCommittee,
-    tolerated_faults,
-)
-from repro.core.dls_bl_ncp import DLSBLNCP, EngineConfig, NCPOutcome
+from repro._lazy import attach
+
+# Resolved on first use: the engine modules import one another through
+# this package, and an eager facade import here would close a cycle
+# (core.dls_bl_ncp -> agents.processor -> core.payments) for whichever
+# of them a process happens to import first.
+__getattr__, __dir__ = attach(__name__, {
+    "repro.core.payments": ("bonus", "bonus_vector", "compensation",
+                            "excluded_optimal_makespan", "payments",
+                            "utilities"),
+    "repro.core.dls_bl": ("DLSBL", "MechanismResult"),
+    "repro.core.dls_star": ("DLSStar", "star_payments", "star_utilities"),
+    "repro.core.dls_chain": ("DLSChain", "chain_payments", "chain_utilities"),
+    "repro.core.dls_tree": ("DLSTree", "tree_bonus", "tree_excluded_makespan"),
+    "repro.core.fines": ("FinePolicy",),
+    "repro.core.referee": ("EvidenceCase", "Referee", "RefereeVerdict",
+                           "Fine"),
+    "repro.core.quorum": ("CommitteeConfig", "QuorumError",
+                          "RefereeCommittee", "tolerated_faults"),
+    "repro.core.dls_bl_ncp": ("DLSBLNCP", "EngineConfig", "NCPOutcome"),
+})
 
 __all__ = [
     "bonus",

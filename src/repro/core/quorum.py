@@ -44,6 +44,7 @@ from repro.core.referee import (
 )
 from repro.crypto.certificates import (
     QuorumCertificate,
+    tolerated_faults,
     value_digest,
     verify_certificate,
     vote_payload,
@@ -79,11 +80,6 @@ EQUIVOCATE = "equivocate"
 FINE_STEAL = "fine-steal"
 REFEREE_STRATEGIES = (HONEST, SILENT, EQUIVOCATE, FINE_STEAL)
 BYZANTINE_STRATEGIES = (SILENT, EQUIVOCATE, FINE_STEAL)
-
-
-def tolerated_faults(size: int) -> int:
-    """Largest ``f`` with ``size >= 3f + 1`` (0 for a lone referee)."""
-    return max(0, (int(size) - 1) // 3)
 
 
 class QuorumError(RuntimeError):

@@ -15,16 +15,21 @@ proof the signer equivocated (the evidence the referee acts on).
 See DESIGN.md §"Substitutions" for the full argument.
 """
 
-from repro.crypto.signatures import SignedMessage, SigningKey, canonical_bytes
-from repro.crypto.pki import PKI, Principal
-from repro.crypto.blocks import LoadBlock, divide_load, quantize_blocks, verify_blocks
-from repro.crypto.commitments import Commitment, commit, verify_commitment
-from repro.crypto.certificates import (
-    QuorumCertificate,
-    value_digest,
-    verify_certificate,
-    vote_payload,
-)
+from repro._lazy import attach
+
+# Resolved on first use: the wire layer reads the quorum rule from
+# repro.crypto.certificates without loading the signed load blocks.
+__getattr__, __dir__ = attach(__name__, {
+    "repro.crypto.signatures": ("SignedMessage", "SigningKey",
+                                "canonical_bytes"),
+    "repro.crypto.pki": ("PKI", "Principal"),
+    "repro.crypto.blocks": ("LoadBlock", "divide_load", "quantize_blocks",
+                            "verify_blocks"),
+    "repro.crypto.commitments": ("Commitment", "commit",
+                                 "verify_commitment"),
+    "repro.crypto.certificates": ("QuorumCertificate", "value_digest",
+                                  "verify_certificate", "vote_payload"),
+})
 
 __all__ = [
     "SignedMessage",

@@ -29,6 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 
 __all__ = [
     "CERTIFICATE_FORMAT",
+    "tolerated_faults",
     "QuorumCertificate",
     "value_digest",
     "vote_payload",
@@ -37,6 +38,16 @@ __all__ = [
 
 #: Wire-format tag carried by archived certificates.
 CERTIFICATE_FORMAT = "repro/quorum-cert/v1"
+
+
+def tolerated_faults(size: int) -> int:
+    """Largest ``f`` with ``size >= 3f + 1`` (0 for a lone referee).
+
+    A committee of ``size`` members tolerates ``f`` Byzantine ones and
+    certifies with ``size - f`` votes.  The one home of the rule: the
+    committee layer and the wire's request checks both read it here.
+    """
+    return max(0, (int(size) - 1) // 3)
 
 
 def value_digest(value: Any) -> str:

@@ -3,8 +3,11 @@
 The daemon keeps one :class:`WarmPool` alive across requests.  Workers
 are forked eagerly at construction (and pinged, so the first real
 request never pays process start-up) and reused until they die or the
-service shuts down.  Reuse saves start-up and imports only: a worker
-keeps no state between requests (:mod:`repro.service.worker`).
+service shuts down.  The daemon never loads the engine, so each worker
+imports it (:func:`repro.sweep.tasks.warm_imports`) before it reads its
+first job, a replacement for a dead worker included.  Reuse saves
+start-up and imports only: a worker keeps no state between requests
+(:mod:`repro.service.worker`).
 
 Each worker owns one channel and runs one job at a time, and the
 daemon's event loop reads every channel, so replies and deaths are
@@ -37,6 +40,7 @@ from multiprocessing import util
 
 from repro.service.tcp import close_inherited_listeners, listener_fds
 from repro.service.worker import worker_ping
+from repro.sweep.tasks import warm_imports
 
 __all__ = ["WarmPool", "WorkerDied"]
 
@@ -81,6 +85,7 @@ def _serve(channel) -> None:
     for other in list(_CHANNELS):
         other.close()
     close_inherited_listeners(listener_fds())
+    warm_imports()
     while True:
         try:
             fn, args = channel.recv()

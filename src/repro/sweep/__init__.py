@@ -19,23 +19,19 @@ route through this engine; the ``repro sweep`` CLI runs plan files or
 inline grids directly.
 """
 
-from repro.sweep.aggregate import PhaseTotals, TrafficTotals, aggregate_records
-from repro.sweep.runner import (
-    RunOptions,
-    ShardStats,
-    SweepError,
-    SweepResult,
-    run_plan,
-)
-from repro.sweep.spec import (
-    PLAN_FORMAT,
-    ScenarioSpec,
-    SweepPlan,
-    canonical_json,
-    derive_seed,
-    digest_records,
-)
-from repro.sweep.tasks import TASKS, register, run_scenario
+from repro._lazy import attach
+
+# Resolved on first use: the wire layer reads plans through
+# repro.sweep.spec without loading the runner and its process pool.
+__getattr__, __dir__ = attach(__name__, {
+    "repro.sweep.aggregate": ("PhaseTotals", "TrafficTotals",
+                              "aggregate_records"),
+    "repro.sweep.runner": ("RunOptions", "ShardStats", "SweepError",
+                           "SweepResult", "run_plan"),
+    "repro.sweep.spec": ("PLAN_FORMAT", "ScenarioSpec", "SweepPlan",
+                         "canonical_json", "derive_seed", "digest_records"),
+    "repro.sweep.tasks": ("TASKS", "register", "run_scenario"),
+})
 
 __all__ = [
     "PLAN_FORMAT",

@@ -42,10 +42,14 @@ __all__ = [
 #: Every module a task body imports lazily, plus the lazy imports of
 #: the layers those tasks reach at run time (the payment path pulls in
 #: ``repro.core.fast_exclusion`` → ``repro.kernels.payments`` on first
-#: use).  Kept in one place so :func:`warm_imports` and the task bodies
-#: cannot drift apart silently — a module listed here but no longer
-#: used costs one import; a lazy import *not* listed here reintroduces
-#: the thread race.
+#: use), of the engagement, sweep and multi-engagement executors in
+#: :mod:`repro.api.execute`, and the modules behind the package names
+#: they resolve on first use (``repro.sweep.RunOptions`` and
+#: ``run_plan``).  Together these are the engine a served job runs on:
+#: a warm worker imports them before its first job.  Kept in one place
+#: so :func:`warm_imports` and the task bodies cannot drift apart
+#: silently — a module listed here but no longer used costs one import;
+#: a lazy import *not* listed here reintroduces the thread race.
 _LAZY_MODULES = (
     "repro.agents.behaviors",
     "repro.analysis.sensitivity",
@@ -57,7 +61,9 @@ _LAZY_MODULES = (
     "repro.io",
     "repro.kernels.surface",
     "repro.network.faults",
+    "repro.protocol.arbiter",
     "repro.protocol.phases",
+    "repro.sweep.runner",
 )
 
 _WARM_LOCK = threading.Lock()

@@ -84,10 +84,10 @@ class TestSignsPerEngagement:
         bidding = next(s for s in out.spans if s.phase == "BIDDING")
         m = len(W)
         # m distinct bids: one HMAC each, at the sender's own archive.
-        # Each of the m (m - 1) receptions checks the bid twice (on
-        # receipt and on archiving) and reads the stamp both times.
+        # Each of the m (m - 1) receptions checks the bid once, reading
+        # the stamp that check left.
         assert bidding.sig_cache_misses == m
-        assert bidding.sig_cache_hits == 2 * m * (m - 1)
+        assert bidding.sig_cache_hits == m * (m - 1)
 
 
 class TestSplitBidsUnderCommitments:

@@ -125,6 +125,37 @@ class TestServingInvariance:
             LoadgenSpec(concurrency=0)
 
 
+def test_warm_imports_leave_no_first_import_to_a_sender_thread():
+    # run_loadgen calls warm_imports() before its sender threads start.
+    # A repro module first imported by a sender thread (through a lazy
+    # import, or a package name resolved on first use) would race the
+    # import locks, so executing every kind in the mix afterwards must
+    # import nothing new.  A fresh interpreter, since this test process
+    # has loaded the engine already.
+    import os
+    import subprocess
+    import sys
+
+    probe = (
+        "import sys\n"
+        "from repro.api import execute\n"
+        "from repro.service.loadgen import LoadgenSpec, build_mix\n"
+        "from repro.sweep.tasks import warm_imports\n"
+        "warm_imports()\n"
+        "mix = build_mix(LoadgenSpec(seed=7, requests=40))\n"
+        "assert len({r.TYPE for r in mix}) == 3\n"
+        "before = set(sys.modules)\n"
+        "for request in mix:\n"
+        "    execute(request)\n"
+        "print(sorted(set(sys.modules) - before))\n")
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    out = subprocess.run([sys.executable, "-c", probe],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]", out.stdout
+
+
 class TestFleetDispatcherValidation:
     def test_rejects_empty_and_duplicate_endpoints(self):
         with pytest.raises(ValueError):

@@ -63,6 +63,55 @@ def _still_running(pids, seconds: float) -> list[int]:
         time.sleep(0.05)
 
 
+_ENGINE_PROBE = """
+import asyncio, os, signal, sys
+from repro.service.pool import WarmPool
+
+ENGINE = ("numpy", "repro.core.dls_bl_ncp", "repro.protocol.engine",
+          "repro.sweep.runner")
+
+def loaded():  # a pool job: what this worker had imported before it
+    return os.getpid(), [m for m in ENGINE if m in sys.modules]
+
+async def main(pool):
+    first = await pool.submit(loaded)[1]
+    os.kill(first[0], signal.SIGKILL)
+    for _ in range(1000):
+        if pool.respawns:
+            break
+        await asyncio.sleep(0.01)
+    return first, await pool.submit(loaded)[1]
+
+assert not [m for m in ENGINE if m in sys.modules]
+pool = WarmPool(1)
+try:
+    first, replacement = asyncio.run(main(pool))
+finally:
+    pool.shutdown()
+assert pool.respawns == 1 and first[0] != replacement[0]
+print(first[1] == replacement[1] == list(ENGINE),
+      [m for m in ENGINE if m in sys.modules])
+"""
+
+
+def test_workers_load_the_engine_before_their_first_job():
+    # The daemon never imports the engine, so a worker must: the first
+    # job of a fresh worker, and of the replacement forked after it is
+    # SIGKILLed, both find it loaded, while the process holding the
+    # pool still has none of it.  A fresh interpreter, since this test
+    # process has loaded the engine already.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[2] / "src"
+    out = subprocess.run([sys.executable, "-c", _ENGINE_PROBE],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True", "[]"], out.stdout
+
+
 def test_workers_exit_when_their_daemon_is_killed():
     with LocalFleet(1, workers=1) as fleet:
         daemon = fleet.processes[0]

@@ -301,3 +301,110 @@ def test_scipy_and_networkx_load_only_where_used():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]", out.stdout + out.stderr
+
+
+#: What a wire-only process must never load: numpy and the engine layers.
+ENGINE = ("numpy", "repro.core", "repro.dlt", "repro.protocol",
+          "repro.kernels", "repro.network.bus", "repro.agents.processor")
+
+_WIRE_PROBE = """
+import json, sys
+import repro, repro.api, repro.cli, repro.service.daemon, repro.service.fleet
+from repro.api import (BenchRequest, EngagementRequest, MarketRequest,
+                       MultiEngagementRequest, SweepRequest, request_from_dict)
+from repro.api.registry import REQUEST_CLASSES
+from repro.sweep.spec import SweepPlan
+
+repro.cli.build_parser()
+solo = EngagementRequest(w=(2.0, 3.0, 5.0, 4.0), z=0.4,
+                         deviants=((1, "multiple-bids"),), committee=4,
+                         byzantine=((0, "fine-steal"),))
+plan = SweepPlan.from_scenarios(
+    "utility-point", [{"w": [2.0, 3.0, 5.0], "z": 0.4, "kind": "ncp-fe",
+                       "i": 0, "bid_factor": 1.1, "exec_factor": 1.0}],
+    root_seed=1)
+requests = [
+    solo,
+    MultiEngagementRequest(engagements=(solo.to_dict(), EngagementRequest(
+        w=(3.0, 4.0, 6.0), z=0.4, kind="ncp-nfe")), policy="sjf"),
+    SweepRequest(plan=plan.to_dict()),
+    MarketRequest(rounds=10, deviants=((0, "wrong-payments"),)),
+    BenchRequest(quick=True),
+]
+assert sorted(r.TYPE for r in requests) == sorted(REQUEST_CLASSES)
+for request in requests:
+    again = request_from_dict(json.loads(request.canonical()))
+    assert again == request and again.digest() == request.digest()
+print(json.dumps(sorted({layer for layer in ENGINE for m in sys.modules
+                         if m == layer or m.startswith(layer + ".")})))
+
+from repro import DLSBL, DLSBLNCP, EngineConfig, NetworkKind, execute
+import repro.api.execute
+from repro.core.dls_bl import DLSBL as dls_bl
+from repro.core.dls_bl_ncp import DLSBLNCP as dls_bl_ncp
+from repro.core.dls_bl_ncp import EngineConfig as config
+from repro.dlt.platform import NetworkKind as kind
+
+executor = sys.modules["repro.api.execute"].execute
+assert (DLSBL, DLSBLNCP, EngineConfig, NetworkKind) == (dls_bl, dls_bl_ncp,
+                                                        config, kind)
+assert execute is executor and repro.api.execute is executor
+"""
+
+
+def test_wire_only_processes_never_load_the_engine():
+    # Importing the package, the façade, the CLI, the daemon and the
+    # fleet dispatcher, then building, round-tripping and digesting one
+    # request of every registered kind, loads no numpy and no engine
+    # layer.  The engine's names still resolve from the package on first
+    # use, and ``repro.api.execute`` stays the function even after its
+    # submodule of the same name is imported.  A fresh interpreter,
+    # since this test process has loaded the engine already.
+    import json
+    import os
+    import subprocess
+    import sys
+
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", f"ENGINE = {ENGINE!r}\n{_WIRE_PROBE}"],
+        env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [], out.stdout
+
+
+def test_every_lazy_export_resolves():
+    # A package's __all__ and its first-use map are written apart; a
+    # name in one but not the other breaks ``from package import *``.
+    import importlib
+
+    for package in ("repro", "repro.api", "repro.agents", "repro.core",
+                    "repro.crypto", "repro.sweep"):
+        module = importlib.import_module(package)
+        assert [n for n in module.__all__ if not hasattr(module, n)] == []
+        assert set(dir(module)) - set(vars(module)) <= set(module.__all__)
+
+
+def test_every_module_imports_when_entered_first():
+    # The package re-exports resolve on first use, so nothing fixes the
+    # order in which a process meets the engine's modules: each one must
+    # import as the first repro module a process loads.  One interpreter
+    # clears its repro modules before each import.
+    import os
+    import subprocess
+    import sys
+
+    names = [".".join(path.relative_to(SRC.parent).with_suffix("").parts)
+             .removesuffix(".__init__")
+             for path in sorted(SRC.rglob("*.py"))
+             if path.name != "__main__.py"]
+    probe = ("import importlib, sys\n"
+             f"for name in {names!r}:\n"
+             "    for loaded in [m for m in sys.modules\n"
+             "                   if m == 'repro' or m.startswith('repro.')]:\n"
+             "        del sys.modules[loaded]\n"
+             "    importlib.import_module(name)\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

@@ -22,6 +22,16 @@ class TestAllocate:
             build_parser().parse_args(["allocate", "--kind", "mesh",
                                        "--z", "0.5", "2"])
 
+    def test_kind_names_are_the_network_kinds(self):
+        # The parser holds the names as strings so that it loads no
+        # engine; they must stay the values of the enum they convert to.
+        from repro.cli import _KINDS
+        from repro.dlt.platform import NetworkKind
+
+        assert sorted(_KINDS) == sorted(k.value for k in NetworkKind)
+        args = build_parser().parse_args(["allocate", "--z", "0.5", "2"])
+        assert args.kind is NetworkKind.NCP_FE
+
     def test_bad_w_reports_error(self, capsys):
         rc = main(["allocate", "--z", "0.5", "2", "-3"])
         assert rc == 2
@@ -85,6 +95,26 @@ class TestProtocol:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["protocol", "--z", "0.4", "2", "3",
                                        "--deviant", "1:nonsense"])
+
+    def test_pki_seed_makes_a_commit_transcript_repeat(self, capsys):
+        # Keys and commitment nonces come from the seed, so one seed
+        # prints the same bytes twice, and another seed changes only
+        # the commitment digests.
+        def transcript(seed):
+            assert main(["protocol", "--z", "0.4", "2", "3", "5", "4",
+                         "--bidding-mode", "commit", "--trace",
+                         "--pki-seed", str(seed)]) == 0
+            return capsys.readouterr().out
+
+        first = transcript(5)
+        assert transcript(5) == first
+        other = transcript(6)
+        changed = [(a, b) for a, b in zip(first.splitlines(),
+                                          other.splitlines()) if a != b]
+        assert len(first.splitlines()) == len(other.splitlines())
+        assert len(changed) == 4
+        assert all("commitment" in a and "commitment" in b
+                   for a, b in changed)
 
 
 class TestContend:
